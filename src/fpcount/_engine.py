@@ -8,6 +8,10 @@ counter-based, so any 64-bit block is computed directly from
 (seed, block index) with vectorized uint64 arithmetic -- no per-stream
 state beyond the current bit position.
 
+Replicates saturate at the scalar path's ``DEFAULT_CEILING``: once there
+they stay put and consume no bits.  Since k <= m after m updates, the
+check only runs from update ``DEFAULT_CEILING + 1`` on.
+
 The scalar and vectorized paths are pinned against each other by tests;
 the engine exists so thousand-replicate ensembles to n = 10**5 finish
 in seconds instead of hours.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import CounterParams, Family, estimate_float, transition_prob
+from .counters import DEFAULT_CEILING
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -33,6 +38,7 @@ _U53 = np.uint64(53)
 _U63 = np.uint64(63)
 _U64 = np.uint64(64)
 _INV53 = 2.0**-53
+_CEILING = np.uint64(DEFAULT_CEILING)
 
 _MAX_SCAN = 52  # uint64 -> float64 bit-length trick is exact below 2**53
 
@@ -111,8 +117,14 @@ def simulate(
                     dtype=np.float64,
                 )
             u = (_extract64(seeds, pos) >> _U11).astype(np.float64) * _INV53
-            k += (u < thresh[k]).astype(np.uint64)
-            pos += _U53
+            step = u < thresh[k]
+            if m > DEFAULT_CEILING:
+                live = k < _CEILING
+                step &= live
+                pos += np.where(live, _U53, _U0)
+            else:
+                pos += _U53
+            k += step.astype(np.uint64)
             if ci < len(cps) and m == cps[ci]:
                 _record(ci)
                 ci += 1
@@ -124,12 +136,18 @@ def simulate(
     for m in range(1, n_max + 1):
         t = k >> shift
         active = t > _U0
+        if m > DEFAULT_CEILING:
+            live = k < _CEILING
+            active &= live
         w = _extract64(seeds, pos)
         win = w >> (_U64 - np.where(active, t, _U1))
         succ = win == _U0
         consumed = np.where(succ, t, t + _U1 - _bit_lengths(win))
         pos += np.where(active, consumed, _U0)
-        k += (succ | ~active).astype(np.uint64)
+        step = succ | ~active
+        if m > DEFAULT_CEILING:
+            step &= live
+        k += step.astype(np.uint64)
         if ci < len(cps) and m == cps[ci]:
             if int((k >> shift).max()) > _MAX_SCAN:
                 raise OverflowError("scan length beyond the vectorized range")

@@ -10,7 +10,12 @@ Two evaluation modes:
   p[n][k] is a dyadic rational.  The sweep carries integer numerators
   over one shared power-of-two denominator and never rounds; moments
   come out as exact Fractions.  Cost grows like O(n**2) coefficient
-  operations, meant for n up to a few thousand.
+  operations on numerators whose length grows with n and with the scan
+  lengths, so it climbs steeply in n and fastest for small d.  Meant
+  for n up to a few hundred for morris and about a thousand for fp(4):
+  on one 2.1 GHz Xeon core, n = 500 takes 7 s for morris and n = 1000
+  takes 170 s for morris, 13 s for fp(2), 2 s for fp(4) (30 s at
+  n = 2000).
 * ``float``: IEEE doubles over the window of states whose probability
   has not underflowed to zero; the window is a few hundred states wide,
   so sweeps to n = 10**5 and beyond take about a second.

@@ -13,6 +13,12 @@ reproduce these exact streams in bulk.
 Every consumer counts consumed bits exactly (``stream_position``), so
 identical call sequences from identical seeds replay bit-for-bit and
 bit budgets can be audited.
+
+:class:`BitSource` reads whole spans of its buffered block at once:
+``take_bits`` and the ``bernoulli_pow2`` scan each take a span with one
+shift and mask instead of one ``next_bit`` call per bit.  The scan still
+stops at the first 1, so it consumes exactly the bits the bit-by-bit
+loop of :class:`BitStream` would.
 """
 
 from __future__ import annotations
@@ -136,6 +142,32 @@ class BitSource(BitStream):
         self._avail = avail
         self.stream_position += count
         return out
+
+    def bernoulli_pow2(self, t: int) -> bool:
+        # word-level scan: each span is tested with one shift and mask,
+        # and a nonzero span is consumed through its first 1
+        need = t
+        avail = self._avail
+        buf = self._buffer
+        while need:
+            if not avail:
+                buf = stream_block(self.seed, self._block_index)
+                self._block_index += 1
+                avail = 64
+            grab = need if need < avail else avail
+            avail -= grab
+            chunk = (buf >> avail) & ((1 << grab) - 1)
+            if chunk:
+                # the first 1 sits chunk.bit_length() bits from the span's end
+                self._buffer = buf
+                self._avail = avail + chunk.bit_length() - 1
+                self.stream_position += t - need + grab - chunk.bit_length() + 1
+                return False
+            need -= grab
+        self._buffer = buf
+        self._avail = avail
+        self.stream_position += t
+        return True
 
 
 class ScriptedBitSource(BitStream):

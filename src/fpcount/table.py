@@ -27,6 +27,7 @@ other.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import NamedTuple
 
@@ -43,6 +44,12 @@ __all__ = ["CounterTable", "SlotEstimate"]
 class SlotEstimate(NamedTuple):
     value: float
     lower_bound: bool  # True when the slot is saturated
+
+
+@functools.lru_cache(maxsize=4096)
+def _slot_estimate(d: int, width: int, k: int) -> SlotEstimate:
+    # shared by every table, so reloading a snapshot keeps the cache warm
+    return SlotEstimate(estimate_float(CounterParams.fp(d), k), k == (1 << width) - 1)
 
 
 class CounterTable:
@@ -69,47 +76,47 @@ class CounterTable:
     def payload_bytes(self) -> int:
         return len(self._data)
 
-    def _check_index(self, index: int) -> None:
+    def get_state(self, index: int) -> int:
         if not 0 <= index < self.num_slots:
             raise IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
-
-    def get_state(self, index: int) -> int:
-        self._check_index(index)
         bitpos = index * self.width
         start = bitpos >> 3
         end = (bitpos + self.width + 7) >> 3
         word = int.from_bytes(self._data[start:end], "little")
         return (word >> (bitpos & 7)) & self._max_value
 
-    def _set_state(self, index: int, value: int) -> None:
-        bitpos = index * self.width
-        start = bitpos >> 3
-        end = (bitpos + self.width + 7) >> 3
-        shift = bitpos & 7
-        word = int.from_bytes(self._data[start:end], "little")
-        word &= ~(self._max_value << shift)
-        word |= value << shift
-        self._data[start:end] = word.to_bytes(end - start, "little")
-
     def increment(self, index: int, src: BitStream) -> int:
         """One counted event for slot `index`; returns the new state.
 
         Saturated slots are left unchanged (no bits consumed, no error).
         """
-        k = self.get_state(index)
-        if k == self._max_value:
+        # one pass over the slot: the bytes are read once and, on an
+        # advance, written back once with 1 added at the slot's offset
+        # (no carry leaves the slot, since k < 2**width - 1)
+        if not 0 <= index < self.num_slots:
+            raise IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
+        data = self._data
+        bitpos = index * self.width
+        start = bitpos >> 3
+        end = (bitpos + self.width + 7) >> 3
+        shift = bitpos & 7
+        word = int.from_bytes(data[start:end], "little")
+        top = self._max_value
+        k = (word >> shift) & top
+        if k == top:
             return k
-        if src.bernoulli_pow2(k >> self.d):
-            k += 1
-            self._set_state(index, k)
-            if k == self._max_value:
-                self.saturation_count += 1
+        t = k >> self.d
+        if t and not src.bernoulli_pow2(t):
+            return k
+        data[start:end] = (word + (1 << shift)).to_bytes(end - start, "little")
+        k += 1
+        if k == top:
+            self.saturation_count += 1
         return k
 
     def estimate(self, index: int) -> SlotEstimate:
         """Unbiased count estimate for the slot; a lower bound once saturated."""
-        k = self.get_state(index)
-        return SlotEstimate(estimate_float(self.params, k), k == self._max_value)
+        return _slot_estimate(self.d, self.width, self.get_state(index))
 
     # -- snapshots ------------------------------------------------------------
 
@@ -130,13 +137,19 @@ class CounterTable:
             raise ValueError(f"bad snapshot magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        table = cls(num_slots, d, width)
+        # both checks precede construction, so a crafted header cannot
+        # request an allocation its payload does not back
         payload = blob[_HEADER.size :]
-        if len(payload) != len(table._data):
+        if len(payload) != (num_slots * width + 7) >> 3:
             raise ValueError(
                 f"payload length {len(payload)} does not match "
                 f"{num_slots} slots of {width} bits"
             )
+        if saturation_count > num_slots:
+            raise ValueError(
+                f"saturation count {saturation_count} exceeds {num_slots} slots"
+            )
+        table = cls(num_slots, d, width)
         table._data[:] = payload
         table.saturation_count = saturation_count
         return table

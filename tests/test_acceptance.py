@@ -162,7 +162,7 @@ def test_criterion_09_cli_determinism():
         assert runs[0].stdout == runs[1].stdout, argv
 
 
-def test_criterion_10_packing():
+def test_criterion_10_packing(with_slot):
     for width in (5, 6, 8, 12, 16):
         slots = 101  # prime: every slot alignment relative to bytes occurs
         table = CounterTable(slots, 4, width)
@@ -175,7 +175,7 @@ def test_criterion_10_packing():
                 model[i - 1] if i > 0 else None,
                 model[i + 1] if i + 1 < slots else None,
             )
-            table._set_state(i, value)
+            table = with_slot(table, i, value)
             model[i] = value
             assert table.get_state(i) == value, width
             if i > 0:

@@ -78,12 +78,8 @@ class TestTrajectory:
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
-    def test_matches_scalar_counter_loop(self, params):
-        n_max = 2500
-        cps = [1, 2, 3, 5, 100, 1024, 2500]
-        seed = 42
-        reps = 3
+    @staticmethod
+    def _assert_matches_scalar(params, n_max, cps, seed=42, reps=3):
         report = run_ensemble(params, n_max, reps, seed=seed, checkpoints=cps)
         for i in range(reps):
             src = BitSource(child_seed(seed, i))
@@ -98,6 +94,18 @@ class TestEngineEquivalence:
                     ci += 1
                     if ci == len(cps):
                         break
+
+    @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
+    def test_matches_scalar_counter_loop(self, params):
+        self._assert_matches_scalar(params, 2500, [1, 2, 3, 5, 100, 1024, 2500])
+
+    @pytest.mark.parametrize(
+        "params", [CounterParams.fp(16), CounterParams.qary(2**20)], ids=str
+    )
+    def test_matches_scalar_past_default_ceiling(self, params):
+        # both reach DEFAULT_CEILING = 65535 before n = 70000; the scalar
+        # counter then stays put and draws no bits, and so must the engine
+        self._assert_matches_scalar(params, 70000, [65535, 65536, 70000], seed=5)
 
     def test_column_equals_trajectory(self):
         cps = [1, 10, 200, 1500]

@@ -1,0 +1,174 @@
+"""Property tests for the fast paths against their references.
+
+* ``BitSource.bernoulli_pow2`` scans by word; the bit-by-bit loop of
+  ``BitStream.bernoulli_pow2`` is its reference.  Blocks are drawn
+  sparse and all-zero as well as random, so scans of t >= 64 succeed
+  and cross block boundaries.
+* ``CounterTable.increment`` updates a packed slot in one pass; a
+  replay through ``counters.increment`` with the slot's ceiling, plus
+  the documented snapshot layout, is its reference.
+* ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
+  with ValueError.
+"""
+
+import struct
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fpcount import (
+    CounterParams,
+    CounterState,
+    CounterTable,
+    SlotEstimate,
+    estimate_float,
+    increment,
+)
+from fpcount.chain import CounterRangeError
+from fpcount.randbits import BitSource, BitStream
+
+blocks = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(0, 63).map(lambda b: 1 << b),
+        st.integers(0, 2**64 - 1),
+    ),
+    min_size=1,
+    max_size=6,
+)
+ops = st.lists(
+    st.tuples(st.sampled_from(["scan", "take"]), st.integers(0, 140)),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=blocks, ops=ops)
+def test_word_scan_matches_bit_loop(blocks, ops):
+    def block(seed, index):
+        return blocks[index % len(blocks)]
+
+    fast, ref = BitSource(0), BitSource(0)
+    with mock.patch("fpcount.randbits.stream_block", block):
+        for op, n in ops:
+            if op == "scan":
+                assert fast.bernoulli_pow2(n) == BitStream.bernoulli_pow2(ref, n)
+            else:
+                assert fast.take_bits(n) == BitStream.take_bits(ref, n)
+            assert fast.stream_position == ref.stream_position
+        assert fast.take_bits(64) == BitStream.take_bits(ref, 64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    ts=st.lists(st.integers(0, 130), max_size=200),
+)
+def test_word_scan_matches_bit_loop_on_canonical_stream(seed, ts):
+    fast, ref = BitSource(seed), BitSource(seed)
+    for t in ts:
+        assert fast.bernoulli_pow2(t) == BitStream.bernoulli_pow2(ref, t)
+        assert fast.stream_position == ref.stream_position
+
+
+def _outcome(thunk):
+    """The thunk's value, or CounterRangeError for estimates past float range."""
+    try:
+        return thunk()
+    except CounterRangeError:
+        return CounterRangeError
+
+
+@st.composite
+def table_runs(draw):
+    # exponent bits: few (so slots saturate within a few hundred events)
+    # or any
+    gap = draw(st.one_of(st.integers(1, 3), st.integers(1, 32)))
+    d = draw(st.integers(0, 32 - gap))
+    width = d + gap
+    slots = draw(st.integers(1, 12))
+    top = (1 << width) - 1
+    # start states: low, near the ceiling, or anywhere
+    start = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, min(top, 40)),
+                st.integers(max(0, top - 3), top),
+                st.integers(0, top),
+            ),
+            min_size=slots,
+            max_size=slots,
+        )
+    )
+    events = draw(st.lists(st.integers(0, slots - 1), max_size=300))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return d, width, start, events, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=table_runs())
+def test_table_matches_scalar_replay(run, with_slot):
+    d, width, start, events, seed = run
+    ceiling = (1 << width) - 1
+    params = CounterParams.fp(d)
+    table = CounterTable(len(start), d, width)
+    for i, k in enumerate(start):
+        table = with_slot(table, i, k)
+    states = [CounterState(k) for k in start]
+    saturated = 0
+    src, ref = BitSource(seed), BitSource(seed)
+    for i in events:
+        before = states[i]
+        states[i] = increment(before, params, ref, ceiling)
+        if before.k < ceiling == states[i].k:
+            saturated += 1
+        assert table.increment(i, src) == states[i].k
+        assert src.stream_position == ref.stream_position
+    assert table.saturation_count == saturated
+    ks = [s.k for s in states]
+    assert [table.get_state(i) for i in range(len(ks))] == ks
+    for i, k in enumerate(ks):
+        want = _outcome(lambda: SlotEstimate(estimate_float(params, k), k == ceiling))
+        assert _outcome(lambda: table.estimate(i)) == want
+    # snapshot: byte-exact layout, and a byte-identical round trip
+    blob = table.to_bytes()
+    packed = sum(k << (i * width) for i, k in enumerate(ks))
+    size = table.payload_bytes
+    assert blob[-size:] == packed.to_bytes(size, "little")
+    clone = CounterTable.from_bytes(blob)
+    assert clone.to_bytes() == blob
+    assert [clone.get_state(i) for i in range(len(ks))] == ks
+
+
+@st.composite
+def snapshots(draw):
+    """Any bytes, or FPCT-like headers with fields drawn near and far
+    from valid, followed by a payload that is sometimes the right size."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    magic = draw(st.sampled_from([b"FPCT", b"NOPE"]))
+    version = draw(st.sampled_from([1, 0, 2]))
+    # mostly near the valid range d < width <= 32, sometimes anywhere
+    d = draw(st.one_of(st.integers(0, 33), st.integers(0, 255)))
+    width = draw(st.one_of(st.integers(0, 33), st.integers(0, 255)))
+    num_slots = draw(st.one_of(st.integers(0, 64), st.integers(0, 2**64 - 1)))
+    saturated = draw(st.one_of(st.integers(0, 64), st.integers(0, 2**64 - 1)))
+    size = (num_slots * width + 7) >> 3
+    if size <= 512 and draw(st.booleans()):
+        payload = draw(st.binary(min_size=size, max_size=size))
+    else:
+        payload = draw(st.binary(max_size=80))
+    header = struct.pack("<4sHBBQQ", magic, version, d, width, num_slots, saturated)
+    return header + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=snapshots())
+def test_from_bytes_raises_only_value_error(blob):
+    try:
+        table = CounterTable.from_bytes(blob)
+    except ValueError:
+        return
+    assert table.saturation_count <= table.num_slots
+    assert table.to_bytes() == blob

@@ -2,6 +2,7 @@
 saturation accounting, and the versioned snapshot format."""
 
 import random
+import struct
 
 import pytest
 
@@ -42,20 +43,26 @@ def test_index_bounds():
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_random_writes_round_trip(width):
+def test_random_writes_round_trip(width, with_slot):
     """Packed slots behave exactly like a list of ints (model test)."""
     slots = 77  # odd count so slots cross byte and word boundaries
     table = CounterTable(slots, 4, width)
     model = [0] * slots
     rng = random.Random(width)
+    src = BitSource(width)
+    top = (1 << width) - 1
     for _ in range(600):
         i = rng.randrange(slots)
         value = rng.randrange(1 << width)
         before = list(model)
-        table._set_state(i, value)
+        table = with_slot(table, i, value)
         model[i] = value
         assert table.get_state(i) == value
-        # neighbors keep their exact values through the write
+        # the table's own write: an increment moves slot i by at most one
+        model[i] = table.increment(i, src)
+        assert model[i] in (value, min(value + 1, top))
+        assert table.get_state(i) == model[i]
+        # neighbors keep their exact values through both writes
         if i > 0:
             assert table.get_state(i - 1) == before[i - 1]
         if i + 1 < slots:
@@ -73,11 +80,10 @@ def test_increment_deterministic_prefix():
     assert src.stream_position == 0
 
 
-def test_increment_matches_bernoulli_semantics():
-    table = CounterTable(1, 0, 8)
-    table._set_state(0, 3)
+def test_increment_matches_bernoulli_semantics(with_slot):
+    table = with_slot(CounterTable(1, 0, 8), 0, 3)
     assert table.increment(0, ScriptedBitSource("000")) == 4
-    table._set_state(0, 3)
+    table = with_slot(table, 0, 3)
     assert table.increment(0, ScriptedBitSource("001")) == 3
 
 
@@ -95,13 +101,12 @@ def test_saturation_counted_once_then_noop():
     assert src.stream_position == before
 
 
-def test_estimate_flags_saturated_slots():
-    table = CounterTable(2, 2, 4)
-    table._set_state(0, 9)
+def test_estimate_flags_saturated_slots(with_slot):
+    table = with_slot(CounterTable(2, 2, 4), 0, 9)
     est = table.estimate(0)
     assert est.value == estimate_float(CounterParams.fp(2), 9)
     assert not est.lower_bound
-    table._set_state(1, 15)
+    table = with_slot(table, 1, 15)
     assert table.estimate(1).lower_bound
 
 
@@ -125,9 +130,8 @@ class TestSnapshots:
             table.get_state(i) for i in range(29)
         ]
 
-    def test_save_load(self, tmp_path):
-        table = CounterTable(5, 1, 6)
-        table._set_state(2, 33)
+    def test_save_load(self, tmp_path, with_slot):
+        table = with_slot(CounterTable(5, 1, 6), 2, 33)
         path = tmp_path / "slots.fpct"
         table.save(path)
         loaded = CounterTable.load(path)
@@ -152,3 +156,18 @@ class TestSnapshots:
             CounterTable.from_bytes(blob[:-1])
         with pytest.raises(ValueError):
             CounterTable.from_bytes(blob[:10])
+
+    def test_rejects_header_larger_than_payload(self):
+        # a 24-byte blob asking for 2**63 slots fails on its length
+        # before any payload is allocated
+        header = struct.pack("<4sHBBQQ", b"FPCT", 1, 4, 8, 2**63, 0)
+        with pytest.raises(ValueError, match="payload length"):
+            CounterTable.from_bytes(header)
+
+    def test_rejects_saturation_count_above_slots(self):
+        blob = bytearray(CounterTable(4, 2, 8).to_bytes())
+        blob[16:24] = (5).to_bytes(8, "little")
+        with pytest.raises(ValueError, match="saturation count"):
+            CounterTable.from_bytes(bytes(blob))
+        blob[16:24] = (4).to_bytes(8, "little")
+        assert CounterTable.from_bytes(bytes(blob)).saturation_count == 4
