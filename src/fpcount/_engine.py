@@ -92,23 +92,14 @@ def simulate(
     k = np.zeros(reps, dtype=np.uint64)
     pos = np.zeros(reps, dtype=np.uint64)
     est_table = np.zeros(0, dtype=np.float64)
-
-    def _record(ci: int) -> None:
-        nonlocal est_table
-        top = int(k.max()) + 1
-        if top > est_table.size:
-            est_table = np.array(
-                [estimate_float(params, kk) for kk in range(top)], dtype=np.float64
-            )
-        states[ci] = k
-        bits[ci] = pos
-        estimates[ci] = est_table[k]
-
+    qary = params.family is Family.QARY
+    shift = np.uint64(params.d if params.family is Family.FP else 0)
+    thresh = np.zeros(0, dtype=np.float64)
     ci = 0
     last = cps[-1] if cps else 0
-    if params.family is Family.QARY:
-        thresh = np.zeros(0, dtype=np.float64)
-        for m in range(1, n_max + 1):
+    for m in range(1, n_max + 1):
+        # the family's decision: which replicates step, and the bits each used
+        if qary:
             top = int(k.max()) + 1
             if top > thresh.size:
                 grow = max(2 * thresh.size, top + 64)
@@ -118,40 +109,31 @@ def simulate(
                 )
             u = (_extract64(seeds, pos) >> _U11).astype(np.float64) * _INV53
             step = u < thresh[k]
-            if m > DEFAULT_CEILING:
-                live = k < _CEILING
-                step &= live
-                pos += np.where(live, _U53, _U0)
-            else:
-                pos += _U53
-            k += step.astype(np.uint64)
-            if ci < len(cps) and m == cps[ci]:
-                _record(ci)
-                ci += 1
-            if m == last:
-                break
-        return states, bits, estimates
-
-    shift = np.uint64(params.d if params.family is Family.FP else 0)
-    for m in range(1, n_max + 1):
-        t = k >> shift
-        active = t > _U0
+            used = _U53
+        else:
+            t = k >> shift
+            active = t > _U0
+            win = _extract64(seeds, pos) >> (_U64 - np.where(active, t, _U1))
+            succ = win == _U0
+            step = succ | ~active
+            used = np.where(
+                active, np.where(succ, t, t + _U1 - _bit_lengths(win)), _U0
+            )
         if m > DEFAULT_CEILING:
             live = k < _CEILING
-            active &= live
-        w = _extract64(seeds, pos)
-        win = w >> (_U64 - np.where(active, t, _U1))
-        succ = win == _U0
-        consumed = np.where(succ, t, t + _U1 - _bit_lengths(win))
-        pos += np.where(active, consumed, _U0)
-        step = succ | ~active
-        if m > DEFAULT_CEILING:
             step &= live
+            used = np.where(live, used, _U0)
+        pos += used
         k += step.astype(np.uint64)
         if ci < len(cps) and m == cps[ci]:
-            if int((k >> shift).max()) > _MAX_SCAN:
+            if not qary and int((k >> shift).max()) > _MAX_SCAN:
                 raise OverflowError("scan length beyond the vectorized range")
-            _record(ci)
+            top = int(k.max()) + 1
+            if top > est_table.size:
+                est_table = np.array(
+                    [estimate_float(params, kk) for kk in range(top)], dtype=np.float64
+                )
+            states[ci], bits[ci], estimates[ci] = k, pos, est_table[k]
             ci += 1
         if m == last:
             break

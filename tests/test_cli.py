@@ -62,6 +62,20 @@ class TestParsing:
             parse_args(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--counter", "fp"], "--counter fp requires --d"),
+            (["bounds", "--counter", "qary"], "--counter qary requires --r"),
+            (["bounds", "--counter", "fp", "--d", "2", "--r", "3"], "fp counter does not take r"),
+            (["bounds", "--counter", "morris", "--r", "1"], "morris counter takes neither d nor r"),
+        ],
+    )
+    def test_family_errors_name_the_flag(self, argv, message, capsys):
+        with pytest.raises(SystemExit):
+            parse_args(argv)
+        assert capsys.readouterr().err.endswith(f"fpcount: error: {message}\n")
+
     def test_parser_lists_all_commands(self):
         text = build_parser().format_help()
         for command in ("trajectory", "ensemble", "oracle", "bounds", "bits", "table-demo"):

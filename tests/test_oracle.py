@@ -146,25 +146,27 @@ class TestMoments:
 
 
 class TestSweepMoments:
-    def test_exact_sweep_matches_single_shots(self):
+    @pytest.mark.parametrize("params", [MORRIS, FP1, FP4], ids=str)
+    def test_exact_sweep_matches_single_shots(self, params):
         cps = [1, 2, 5, 9, 16]
-        recs = sweep_moments(FP1, cps, MODE_EXACT)
+        recs = sweep_moments(params, cps, MODE_EXACT)
         assert [r.n for r in recs] == cps
         for rec in recs:
-            dist = step_distribution(FP1, rec.n, MODE_EXACT)
-            assert rec.mean == expected_estimate(dist, FP1)
-            assert rec.variance == estimator_variance(dist, FP1)
-            assert rec.mean_variance_fn == expected_variance_fn(dist, FP1)
+            dist = step_distribution(params, rec.n, MODE_EXACT)
+            assert rec.mean == expected_estimate(dist, params)
+            assert rec.variance == estimator_variance(dist, params)
+            assert rec.mean_variance_fn == expected_variance_fn(dist, params)
 
     def test_float_sweep_matches_single_shots(self):
-        cps = [10, 100, 1000]
+        # one summation rule serves both paths, so they agree to the bit
+        cps = [10, 100, 1000, 3000]
         recs = sweep_moments(FP4, cps, MODE_FLOAT)
         for rec in recs:
             dist = step_distribution(FP4, rec.n, MODE_FLOAT)
-            assert rec.mean == pytest.approx(expected_estimate(dist, FP4), rel=1e-12)
-            assert rec.variance == pytest.approx(
-                estimator_variance(dist, FP4), rel=1e-9
-            )
+            assert rec.mean == expected_estimate(dist, FP4)
+            assert rec.variance == estimator_variance(dist, FP4)
+            assert rec.mean_variance_fn == expected_variance_fn(dist, FP4)
+            assert rec.accuracy == accuracy(dist, FP4)
 
     def test_checkpoint_handling(self):
         assert sweep_moments(MORRIS, [], MODE_EXACT) == []
@@ -198,6 +200,19 @@ class TestExpectedBits:
         cost = expected_bits(CounterParams.fp(2), 3, MODE_EXACT)
         assert cost.expected == 0
         assert cost.alt_expected == 0
+
+    @pytest.mark.parametrize("params", [MORRIS, FP1, CounterParams.fp(3)], ids=str)
+    @pytest.mark.parametrize("n", range(1, 22))
+    def test_exact_matches_reference(self, params, n):
+        # a stopped scan of t bits reads bit i (0-based) iff bits 0..i-1 were all 0
+        expected = alt = Fraction(0)
+        for k, p in reference_distribution(params, n).items():
+            t = params.scan_length(k)
+            expected += p * sum(Fraction(1, 1 << i) for i in range(t))
+            if t:
+                alt += p * (2 - Fraction(t, (1 << t) - 1))
+        cost = expected_bits(params, n, MODE_EXACT)
+        assert (cost.expected, cost.alt_expected) == (expected, alt)
 
     def test_float_matches_exact(self):
         for n in (1, 2, 7, 20):
