@@ -8,6 +8,11 @@ counter-based, so any 64-bit block is computed directly from
 (seed, block index) with vectorized uint64 arithmetic -- no per-stream
 state beyond the current bit position.
 
+A bit-scan update at state k inspects t = k >> d bits and stops at the
+first 1.  One form covers every t, t = 0 included: the next t stream bits
+are ``win = (next64 >> 1) >> (63 - t)``, the update advances iff
+``win == 0``, and it consumes ``min(t, t + 1 - bit_length(win))`` bits.
+
 Replicates saturate at the scalar path's ``DEFAULT_CEILING``: once there
 they stay put and consume no bits.  Since k <= m after m updates, the
 check only runs from update ``DEFAULT_CEILING + 1`` on.
@@ -27,7 +32,6 @@ from .counters import DEFAULT_CEILING
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U0 = np.uint64(0)
 _U1 = np.uint64(1)
 _U6 = np.uint64(6)
 _U11 = np.uint64(11)
@@ -36,7 +40,6 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U53 = np.uint64(53)
 _U63 = np.uint64(63)
-_U64 = np.uint64(64)
 _INV53 = 2.0**-53
 _CEILING = np.uint64(DEFAULT_CEILING)
 
@@ -59,11 +62,9 @@ def _extract64(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
     off = pos & _U63
     w0 = _block(seeds, b0)
     w1 = _block(seeds, b0 + _U1)
-    high = w0 << off
-    # (w1 >> 1) >> (63 - off) == w1 >> (64 - off) without the undefined
-    # shift-by-64 at off == 0, where the contribution must be zero
-    low = np.where(off == _U0, _U0, (w1 >> _U1) >> (_U63 - off))
-    return high | low
+    # (w1 >> 1) >> (63 - off) == w1 >> (64 - off), and is 0 at off == 0
+    # without an undefined shift by 64
+    return (w0 << off) | ((w1 >> _U1) >> (_U63 - off))
 
 
 def _bit_lengths(win: np.ndarray) -> np.ndarray:
@@ -77,11 +78,11 @@ def simulate(
     seeds: np.ndarray,
     checkpoints,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run `seeds.size` trajectories for n_max updates.
+    """Run `seeds.size` trajectories to the last of `checkpoints`.
 
-    Returns (states, bits, estimates), each shaped
-    (len(checkpoints), seeds.size); `bits` is the exact count of stream
-    bits consumed up to the checkpoint.
+    `checkpoints` are increasing update counts in 1..n_max.  Returns
+    (states, bits, estimates), each shaped (len(checkpoints), seeds.size);
+    `bits` is the exact count of stream bits consumed up to the checkpoint.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
     cps = [int(c) for c in checkpoints]
@@ -93,39 +94,32 @@ def simulate(
     pos = np.zeros(reps, dtype=np.uint64)
     est_table = np.zeros(0, dtype=np.float64)
     qary = params.family is Family.QARY
+    if qary:
+        # k <= min(m, DEFAULT_CEILING) after m updates
+        top = min(n_max, DEFAULT_CEILING) + 1
+        thresh = np.array(
+            [transition_prob(params, kk) for kk in range(top)], dtype=np.float64
+        )
     shift = np.uint64(params.d if params.family is Family.FP else 0)
-    thresh = np.zeros(0, dtype=np.float64)
     ci = 0
-    last = cps[-1] if cps else 0
-    for m in range(1, n_max + 1):
+    for m in range(1, (cps[-1] if cps else 0) + 1):
         # the family's decision: which replicates step, and the bits each used
         if qary:
-            top = int(k.max()) + 1
-            if top > thresh.size:
-                grow = max(2 * thresh.size, top + 64)
-                thresh = np.array(
-                    [transition_prob(params, kk) for kk in range(grow)],
-                    dtype=np.float64,
-                )
             u = (_extract64(seeds, pos) >> _U11).astype(np.float64) * _INV53
             step = u < thresh[k]
             used = _U53
         else:
             t = k >> shift
-            active = t > _U0
-            win = _extract64(seeds, pos) >> (_U64 - np.where(active, t, _U1))
-            succ = win == _U0
-            step = succ | ~active
-            used = np.where(
-                active, np.where(succ, t, t + _U1 - _bit_lengths(win)), _U0
-            )
+            win = (_extract64(seeds, pos) >> _U1) >> (_U63 - t)
+            step = win == 0
+            used = np.minimum(t, t + _U1 - _bit_lengths(win))
         if m > DEFAULT_CEILING:
             live = k < _CEILING
             step &= live
-            used = np.where(live, used, _U0)
+            used = np.where(live, used, 0)
         pos += used
         k += step.astype(np.uint64)
-        if ci < len(cps) and m == cps[ci]:
+        if m == cps[ci]:
             if not qary and int((k >> shift).max()) > _MAX_SCAN:
                 raise OverflowError("scan length beyond the vectorized range")
             top = int(k.max()) + 1
@@ -135,6 +129,4 @@ def simulate(
                 )
             states[ci], bits[ci], estimates[ci] = k, pos, est_table[k]
             ci += 1
-        if m == last:
-            break
     return states, bits, estimates

@@ -11,7 +11,9 @@ table-demo   fill a packed counter table and report per-slot estimates
 
 Output is CSV (default) or JSON with identical fields; reruns with
 identical flags produce byte-identical output.  Exit codes: 0 success,
-2 usage error, 3 numeric range failure.
+2 usage error, 3 numeric range failure.  Flag errors print argparse's
+usage line; inputs the library rejects (a ``ValueError``) print the one
+line ``fpcount: error: <message>`` with no usage line.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .chain import CounterParams, Family, accuracy_limits
 from .ensemble import linear_checkpoints, log_checkpoints, run_ensemble, run_trajectory
@@ -33,21 +34,7 @@ from .oracle import accuracy, estimator_variance, expected_estimate, step_distri
 from .randbits import BitSource
 from .table import CounterTable
 
-__all__ = ["RunConfig", "build_parser", "execute", "main", "parse_args"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: CounterParams | None
-    n: int | None
-    replicates: int | None
-    seed: int
-    checkpoints: list[int] | None
-    mode: str
-    output: str
-    slots: int | None = None
-    width: int | None = None
+__all__ = ["build_parser", "execute", "main", "parse_args"]
 
 
 def _positive_int(text: str) -> int:
@@ -158,34 +145,16 @@ def _resolve_checkpoints(
     return cps
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse `argv`; `params` and `checkpoints` are resolved in place."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    params = _resolve_params(parser, args)
-    mode = getattr(args, "mode", MODE_FLOAT)
-    if mode == MODE_EXACT and params.family is Family.QARY:
-        parser.error("exact mode is undefined for qary counters (irrational base)")
-    n = getattr(args, "n", None)
-    checkpoints = None
+    args.params = _resolve_params(parser, args)
     if hasattr(args, "checkpoints"):
-        checkpoints = _resolve_checkpoints(parser, args.checkpoints, n)
-    if args.command == "table-demo":
-        if params.family is not Family.FP:
-            parser.error("table-demo packs fp counters: use --counter fp --d D")
-        if args.width < params.d + 1 or args.width > 32:
-            parser.error("--width must be in [d+1, 32]")
-    return RunConfig(
-        command=args.command,
-        params=params,
-        n=n,
-        replicates=getattr(args, "replicates", None),
-        seed=getattr(args, "seed", 1),
-        checkpoints=checkpoints,
-        mode=mode,
-        output=args.output,
-        slots=getattr(args, "slots", None),
-        width=getattr(args, "width", None),
-    )
+        args.checkpoints = _resolve_checkpoints(parser, args.checkpoints, args.n)
+    if args.command == "table-demo" and args.params.family is not Family.FP:
+        parser.error("table-demo packs fp counters: use --counter fp --d D")
+    return args
 
 
 def _family_fields(params: CounterParams) -> dict:
@@ -193,13 +162,13 @@ def _family_fields(params: CounterParams) -> dict:
     return {"family": params.family.value, "param": "" if param is None else param}
 
 
-def _rows_trajectory(config: RunConfig) -> list[dict]:
-    points = run_trajectory(config.params, config.n, config.seed, config.checkpoints)
-    base = _family_fields(config.params)
+def _rows_trajectory(args: argparse.Namespace) -> list[dict]:
+    points = run_trajectory(args.params, args.n, args.seed, args.checkpoints)
+    base = _family_fields(args.params)
     return [
         {
             **base,
-            "seed": config.seed,
+            "seed": args.seed,
             "n": p.n,
             "k": p.k,
             "estimate": p.estimate,
@@ -209,13 +178,13 @@ def _rows_trajectory(config: RunConfig) -> list[dict]:
     ]
 
 
-def _rows_ensemble(config: RunConfig) -> list[dict]:
+def _rows_ensemble(args: argparse.Namespace) -> list[dict]:
     report = run_ensemble(
-        config.params, config.n, config.replicates, config.seed, config.checkpoints
+        args.params, args.n, args.replicates, args.seed, args.checkpoints
     )
-    moments = sweep_moments(config.params, report.checkpoints, MODE_FLOAT)
+    moments = sweep_moments(args.params, report.checkpoints, MODE_FLOAT)
     oracle_std = {rec.n: math.sqrt(rec.variance) for rec in moments}
-    base = _family_fields(config.params)
+    base = _family_fields(args.params)
     return [
         {
             **base,
@@ -231,12 +200,12 @@ def _rows_ensemble(config: RunConfig) -> list[dict]:
     ]
 
 
-def _rows_oracle(config: RunConfig) -> list[dict]:
-    rec = sweep_moments(config.params, [config.n], config.mode)[0]
+def _rows_oracle(args: argparse.Namespace) -> list[dict]:
+    rec = sweep_moments(args.params, [args.n], args.mode)[0]
     return [
         {
-            **_family_fields(config.params),
-            "n": config.n,
+            **_family_fields(args.params),
+            "n": args.n,
             "mean": float(rec.mean),
             "variance": float(rec.variance),
             "accuracy": rec.accuracy,
@@ -244,35 +213,35 @@ def _rows_oracle(config: RunConfig) -> list[dict]:
     ]
 
 
-def _rows_bounds(config: RunConfig) -> list[dict]:
-    bounds = accuracy_limits(config.params)
+def _rows_bounds(args: argparse.Namespace) -> list[dict]:
+    bounds = accuracy_limits(args.params)
     return [
         {
-            **_family_fields(config.params),
+            **_family_fields(args.params),
             "lower": bounds.lower,
             "upper": bounds.upper,
         }
     ]
 
 
-def _rows_bits(config: RunConfig) -> list[dict]:
-    cost = expected_bits(config.params, config.n, config.mode)
+def _rows_bits(args: argparse.Namespace) -> list[dict]:
+    cost = expected_bits(args.params, args.n, args.mode)
     return [
         {
-            **_family_fields(config.params),
-            "n": config.n,
+            **_family_fields(args.params),
+            "n": args.n,
             "expected_bits": float(cost.expected),
             "alt_expected_bits": float(cost.alt_expected),
         }
     ]
 
 
-def _rows_table_demo(config: RunConfig) -> list[dict]:
-    table = CounterTable(config.slots, config.params.d, config.width)
-    src = BitSource(config.seed)
+def _rows_table_demo(args: argparse.Namespace) -> list[dict]:
+    table = CounterTable(args.slots, args.params.d, args.width)
+    src = BitSource(args.seed)
     rows = []
-    for slot in range(config.slots):
-        for _ in range(config.n):
+    for slot in range(args.slots):
+        for _ in range(args.n):
             table.increment(slot, src)
         est = table.estimate(slot)
         rows.append(
@@ -308,13 +277,16 @@ def _emit(rows: list[dict], output: str) -> None:
             writer.writerow([row[h] for h in header])
 
 
-def execute(config: RunConfig) -> int:
+def execute(args: argparse.Namespace) -> int:
     try:
-        rows = _DISPATCH[config.command](config)
+        rows = _DISPATCH[args.command](args)
     except OverflowError as exc:
         print(f"fpcount: numeric range failure: {exc}", file=sys.stderr)
         return 3
-    _emit(rows, config.output)
+    except ValueError as exc:
+        print(f"fpcount: error: {exc}", file=sys.stderr)
+        return 2
+    _emit(rows, args.output)
     return 0
 
 

@@ -46,13 +46,11 @@ class TestParsing:
             ["trajectory", "--counter", "fp", "--n", "10"],  # fp without --d
             ["trajectory", "--counter", "qary", "--n", "10"],  # qary without --r
             ["trajectory", "--counter", "morris", "--d", "1", "--n", "10"],
-            ["oracle", "--counter", "qary", "--r", "4", "--n", "5", "--mode", "exact"],
             ["trajectory", "--counter", "fp", "--d", "4", "--n", "10",
              "--checkpoints", "zap"],
             ["trajectory", "--counter", "fp", "--d", "4", "--n", "10",
              "--checkpoints", "5,11"],
             ["table-demo", "--counter", "morris"],
-            ["table-demo", "--counter", "fp", "--d", "6", "--width", "6"],
             ["ensemble", "--counter", "fp", "--d", "4", "--n", "10"],  # no replicates
             ["bits", "--counter", "fp", "--d", "4", "--n", "0"],
         ],
@@ -183,6 +181,44 @@ class TestCommands:
 
 
 class TestFailurePaths:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["oracle", "--counter", "qary", "--r", "4", "--n", "5", "--mode", "exact"],
+                "exact mode needs dyadic transition probabilities (morris/fp only)",
+                id="oracle-exact-qary",
+            ),
+            pytest.param(
+                ["table-demo", "--counter", "fp", "--d", "6", "--width", "6"],
+                "width must be at least d + 1 (one exponent bit)",
+                id="table-demo-width-6",
+            ),
+            pytest.param(
+                ["bits", "--counter", "qary", "--r", "4", "--n", "5"],
+                "expected_bits applies to the bit-scan families (morris/fp)",
+                id="bits-qary",
+            ),
+            pytest.param(
+                ["ensemble", "--counter", "fp", "--d", "4", "--n", "10", "--replicates", "1"],
+                "an ensemble needs at least 2 replicates",
+                id="ensemble-1-replicate",
+            ),
+            pytest.param(
+                ["table-demo", "--counter", "fp", "--d", "4", "--width", "40"],
+                "width must be at most 32",
+                id="table-demo-width-40",
+            ),
+        ],
+    )
+    def test_library_errors_exit_2_without_traceback(self, argv, message, capsys):
+        # inputs only the library rejects: one error line, no usage, no traceback
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"fpcount: error: {message}\n"
+
     def test_numeric_failure_exits_3(self, monkeypatch, capsys):
         import fpcount.cli as cli_module
 

@@ -9,11 +9,15 @@
   the documented snapshot layout, is its reference.
 * ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
   with ValueError.
+* ``_engine.simulate`` runs replicates side by side; the
+  ``counters.increment`` loop over each replicate's stream is its
+  reference, for states, consumed bits and estimates.
 """
 
 import struct
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +28,11 @@ from fpcount import (
     SlotEstimate,
     estimate_float,
     increment,
+    new_counter,
 )
+from fpcount._engine import simulate
 from fpcount.chain import CounterRangeError
-from fpcount.randbits import BitSource, BitStream
+from fpcount.randbits import BitSource, BitStream, child_seed
 
 blocks = st.lists(
     st.one_of(
@@ -172,3 +178,37 @@ def test_from_bytes_raises_only_value_error(blob):
         return
     assert table.saturation_count <= table.num_slots
     assert table.to_bytes() == blob
+
+
+@st.composite
+def engine_runs(draw):
+    params = draw(
+        st.one_of(
+            st.just(CounterParams.morris()),
+            st.integers(0, 6).map(CounterParams.fp),
+            st.integers(1, 32).map(CounterParams.qary),
+        )
+    )
+    n = draw(st.integers(1, 300))
+    cps = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=8)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    seeds = [child_seed(seed, i) for i in range(draw(st.integers(2, 4)))]
+    return params, n, cps, seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=engine_runs())
+def test_engine_matches_scalar_loop(run):
+    params, n, cps, seeds = run
+    states, bits, estimates = simulate(
+        params, n, np.array(seeds, dtype=np.uint64), cps
+    )
+    for i, seed in enumerate(seeds):
+        src, state, ci = BitSource(seed), new_counter(), 0
+        for m in range(1, cps[-1] + 1):
+            state = increment(state, params, src)
+            if m == cps[ci]:
+                assert int(states[ci, i]) == state.k
+                assert int(bits[ci, i]) == src.stream_position
+                assert estimates[ci, i] == estimate_float(params, state.k)
+                ci += 1
