@@ -252,9 +252,18 @@ def relative_spread(params: CounterParams, k: int) -> float:
     f = estimate(params, k)
     if params.family is Family.QARY:
         return math.sqrt(g) / f
-    # exact route: form the rational g/f**2 first so huge states cannot
-    # overflow the intermediate floats
-    return math.sqrt(Fraction(g, f * f))
+    return _sqrt_ratio(g, f * f)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num/den) for ints num >= 0 and den > 0, from the rounded exact ratio.
+
+    The ratio is rounded at 2**-e for an even e that brings it near 1 and
+    its root scaled back by 2**(e/2), so a ratio outside the double range
+    whose root is inside it neither overflows nor underflows on the way.
+    """
+    e = (num.bit_length() - den.bit_length()) & ~1
+    return math.ldexp(math.sqrt(Fraction(num, den) / Fraction(2) ** e), e // 2)
 
 
 @dataclass(frozen=True)
@@ -280,10 +289,7 @@ def accuracy_limits(params: CounterParams) -> AccuracyBounds:
     """
     if params.family is Family.FP:
         m = params.modulus
-        return AccuracyBounds(
-            math.sqrt(1.0 / (3 * m - 1)),
-            math.sqrt(3.0 / (8 * m - 3)),
-        )
+        return AccuracyBounds(_sqrt_ratio(1, 3 * m - 1), _sqrt_ratio(3, 8 * m - 3))
     if params.family is Family.QARY:
         a = math.sqrt(math.expm1(_LN2 / params.r) / 2.0)
         return AccuracyBounds(a, a)
@@ -295,14 +301,15 @@ def estimate_float(params: CounterParams, k: int) -> float:
     """:func:`estimate` coerced to float.
 
     Raises CounterRangeError when the value exceeds the double range
-    (possible for saturated wide-exponent states), without ever building
-    the astronomically large exact integer.
+    (possible for saturated wide-exponent states).  With k = M*t + u the
+    closed form (M + u)*2**t - M is at least 2**t - 1 for t >= 1, so
+    t > 1024 is refused before the astronomically large integer is built.
     """
     if params.family is Family.QARY:
         return estimate(params, k)
     _require_state(k)
     m, t, u = params._split(k)
-    if t + (m + u).bit_length() > 1080:
+    if t > 1024:
         raise CounterRangeError(f"estimate at state {k} exceeds the float range")
     try:
         return float(((m + u) << t) - m)

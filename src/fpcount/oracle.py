@@ -13,15 +13,18 @@ random-bit cost of the next update for the bit-scan families.
 
 Two evaluation modes:
 
-* ``exact`` (morris/fp only): every q_k is a power of 1/2, so each
-  p[n][k] is a dyadic rational.  The sweep carries integer numerators
-  over one shared scale = 2**e and never rounds; moments come out as
-  exact Fractions.  Cost grows like O(n**2) coefficient operations on
+* ``exact`` (morris/fp only): every q_k is 2**-t_k with t_k the scan
+  length, so each p[n][k] is a dyadic rational.  The sweep carries
+  integer numerators w over one shared scale = 2**e and never rounds.
+  With s the largest live scan length, a step moves w << (s - t_k) up
+  one state, keeps (w << s) minus that, and shifts scale left by s:
+  shifts only, over scan lengths computed once.  Moments come out as
+  exact Fractions.  Cost grows like O(n**2) shifts and additions of
   numerators whose length grows with n and with the scan lengths, so it
-  climbs steeply in n and fastest for small d.  Meant for n up to a few
-  hundred for morris and about a thousand for fp(4): on one 2.1 GHz Xeon
-  core, n = 500 takes 7 s for morris and n = 1000 takes 170 s for
-  morris, 13 s for fp(2), 2 s for fp(4) (30 s at n = 2000).
+  climbs steeply in n and fastest for small d.  Meant for n up to about
+  a thousand: on one 2.1 GHz Xeon core, n = 500 takes 1.3 s for morris,
+  n = 1000 takes 19 s for morris, 4 s for fp(2) and 1.1 s for fp(4), and
+  n = 2000 takes 79 s for fp(2), 20 s for fp(4) and 1.3 s for fp(8).
 * ``float``: IEEE doubles (scale = 1.0) over the window of states whose
   probability has not underflowed to zero; the window is a few hundred
   states wide, so sweeps to n = 10**5 and beyond take about a second.
@@ -98,66 +101,46 @@ class MomentRecord:
 # -- the window sweep ----------------------------------------------------------
 
 
-def _exact_windows(
-    params: CounterParams, n_max: int
-) -> Iterator[tuple[int, int, list[int], int]]:
-    """Yield (n, lo, numerators, 2**e) for n = 0..n_max.
+def _windows(
+    params: CounterParams, n_max: int, exact: bool
+) -> Iterator[tuple[int, int, np.ndarray, int | float]]:
+    """Yield (n, lo, weights, scale) for n = 0..n_max, zero states trimmed.
 
-    States outside the window have probability exactly zero.
+    Weights are Python ints (object array) over 2**e, or doubles over 1.0.
     """
-    t_of = params.scan_length
-    nums = [1]
-    lo = 0
-    denom_exp = 0
-    yield 0, lo, nums, 1
-    for n in range(n_max):
-        hi = lo + len(nums) - 1
-        s = t_of(hi)  # the largest scan length among active states
-        one = 1 << s
-        new = [0] * (len(nums) + 1)
-        for j, num in enumerate(nums):
-            move = 1 << (s - t_of(lo + j))  # q_k * 2**s
-            stay = one - move  # (1 - q_k) * 2**s
-            if stay:
-                new[j] += stay * num
-            new[j + 1] += move * num
-        denom_exp += s
-        start = 0
-        while start < len(new) and new[start] == 0:
-            start += 1
-        lo += start
-        nums = new[start:]
-        yield n + 1, lo, nums, 1 << denom_exp
-
-
-def _float_windows(
-    params: CounterParams, n_max: int
-) -> Iterator[tuple[int, int, np.ndarray, float]]:
-    """Yield (n, lo, probs_window, 1.0) for n = 0..n_max."""
-    p = np.array([1.0])
-    lo = 0
-    q = np.zeros(0)
-    yield 0, lo, p, 1.0
-    for n in range(n_max):
-        hi = lo + p.size - 1
-        if hi + 1 >= q.size:
-            upto = max(2 * q.size, hi + 2, 64)
-            q = np.array([float(transition_prob(params, k)) for k in range(upto)])
-        qw = q[lo : hi + 1]
-        move = p * qw
-        stay = p - move
-        new = np.zeros(p.size + 1)
+    lo, scale = 0, (1 if exact else 1.0)
+    w = np.array([scale], dtype=object if exact else float)
+    if exact:
+        # scan lengths stay Python ints: a numpy int64 would overflow scale
+        t = np.array([params.scan_length(k) for k in range(n_max + 1)], dtype=object)
+    else:
+        q = np.zeros(0)
+    yield 0, lo, w, scale
+    for n in range(1, n_max + 1):
+        hi = lo + w.size
+        if exact:
+            s = t[hi - 1]
+            move = w << (s - t[lo:hi])
+            stay = (w << s) - move
+            scale <<= s
+        else:
+            if hi >= q.size:
+                upto = max(2 * q.size, hi + 1, 64)
+                q = np.array([float(transition_prob(params, k)) for k in range(upto)])
+            move = w * q[lo:hi]
+            stay = w - move
+        new = np.zeros(w.size + 1, dtype=w.dtype)
         new[:-1] = stay
         new[1:] += move
-        start = 0
-        while start < new.size and new[start] == 0.0:
+        del move, stay  # the consumer runs while this is suspended: free early
+        start, end = 0, new.size  # the window holds all the mass, so never empty
+        while new[start] == 0:
             start += 1
-        end = new.size
-        while end > start and new[end - 1] == 0.0:
+        while new[end - 1] == 0:
             end -= 1
         lo += start
-        p = new[start:end]
-        yield n + 1, lo, p, 1.0
+        w = new[start:end]
+        yield n, lo, w, scale
 
 
 def _sweep(params: CounterParams, checkpoints, mode: str) -> Iterator[tuple]:
@@ -177,8 +160,7 @@ def _sweep(params: CounterParams, checkpoints, mode: str) -> Iterator[tuple]:
     if not cps:
         return
     want = set(cps)
-    windows = _exact_windows if mode == MODE_EXACT else _float_windows
-    for window in windows(params, cps[-1]):
+    for window in _windows(params, cps[-1], mode == MODE_EXACT):
         if window[0] in want:
             yield window
 

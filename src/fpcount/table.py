@@ -56,10 +56,9 @@ class CounterTable:
     """num_slots packed fp(d) counters, width bits per slot."""
 
     def __init__(self, num_slots: int, d: int, width: int):
+        self.params = CounterParams.fp(d)
         if num_slots < 1:
             raise ValueError("num_slots must be positive")
-        if d < 0:
-            raise ValueError("d must be nonnegative")
         if width < d + 1:
             raise ValueError("width must be at least d + 1 (one exponent bit)")
         if width > 32:
@@ -67,7 +66,6 @@ class CounterTable:
         self.num_slots = num_slots
         self.d = d
         self.width = width
-        self.params = CounterParams.fp(d)
         self.saturation_count = 0
         self._max_value = (1 << width) - 1
         self._data = bytearray((num_slots * width + 7) >> 3)

@@ -171,6 +171,11 @@ class TestRelativeSpread:
             math.sqrt(1 / 3), rel=1e-12
         )
 
+    def test_ratio_below_the_double_range(self):
+        # g/f**2 ~ 2/(7 * 2**1100) underflows as a double; its root does not
+        value = relative_spread(CounterParams.fp(1100), (3 << 1100) + 5)
+        assert value == pytest.approx(math.sqrt(2 / 7) * 2.0**-550, rel=1e-12, abs=0)
+
     def test_qary_limit_relation(self):
         # spread b of the state solves b**2/(1 - b**2) = (q-1)/2, the
         # squared asymptotic accuracy
@@ -184,6 +189,19 @@ class TestAccuracyLimits:
         bounds = accuracy_limits(FP4)
         assert bounds.lower == pytest.approx(math.sqrt(1 / 47), rel=1e-15)
         assert bounds.upper == pytest.approx(math.sqrt(3 / 125), rel=1e-15)
+
+    def test_fp_window_matches_double_formula_to_d_50(self):
+        for d in range(51):
+            m = 1 << d
+            bounds = accuracy_limits(CounterParams.fp(d))
+            assert bounds.lower == math.sqrt(1.0 / (3 * m - 1))
+            assert bounds.upper == math.sqrt(3.0 / (8 * m - 3))
+
+    def test_fp_window_past_the_int_to_float_range(self):
+        bounds = accuracy_limits(CounterParams.fp(2000))  # 3 * 2**2000 overflows
+        scale = 2.0**-1000
+        assert bounds.lower == pytest.approx(math.sqrt(1 / 3) * scale, rel=1e-12, abs=0)
+        assert bounds.upper == pytest.approx(math.sqrt(3 / 8) * scale, rel=1e-12, abs=0)
 
     def test_morris_collapses(self):
         bounds = accuracy_limits(MORRIS)
@@ -220,6 +238,15 @@ class TestEstimateFloat:
             estimate_float(MORRIS, 20000)
         # ... while the exact integer form still works at that state
         assert estimate(MORRIS, 20000) == (1 << 20000) - 1
+
+    def test_wide_significand_small_state(self):
+        # t = 0: the estimate is the significand, however large 2**d is
+        assert estimate_float(CounterParams.fp(1100), 5) == 5.0
+
+    def test_huge_exponent_refused_before_building_the_int(self):
+        # the exact value would be a 2**40-bit integer
+        with pytest.raises(CounterRangeError):
+            estimate_float(MORRIS, 2**40)
 
     def test_range_error_is_an_overflow_error(self):
         assert issubclass(CounterRangeError, OverflowError)

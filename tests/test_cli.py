@@ -179,6 +179,22 @@ class TestCommands:
             for field in ("estimate", "rel_error"):
                 assert repr(float(row[field])) == row[field]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "trajectory --counter fp --d 1100 --n 3",
+            "bounds --counter fp --d 2000",
+            "oracle --counter fp --d 3000 --n 3",
+        ],
+    )
+    def test_wide_significands_stay_in_range(self, argv, capsys):
+        # 2**d overflows a double, the printed values do not
+        assert main(argv.split()) == 0
+        rows = rows_of(capsys.readouterr().out.encode())
+        assert rows
+        if argv.startswith("oracle"):
+            assert (rows[0]["mean"], rows[0]["variance"]) == ("3.0", "0.0")
+
 
 class TestFailurePaths:
     @pytest.mark.parametrize(

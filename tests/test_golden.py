@@ -48,6 +48,22 @@ GOLDEN = [
         "family,param,n,expected_bits,alt_expected_bits\n"
         "fp,2,200,1.943519965073382,1.8522473726664788\n"
     ),
+    # exact windows of 120 to 573 states, with numerators of thousands of bits
+    (
+        "oracle --counter fp --d 2 --n 300 --mode exact",
+        "family,param,n,mean,variance,accuracy\n"
+        "fp,2,300,300.0,8734.390187866304,0.31152653155900084\n"
+    ),
+    (
+        "oracle --counter fp --d 7 --n 700 --mode exact",
+        "family,param,n,mean,variance,accuracy\n"
+        "fp,7,700,700.0,1204.000001395459,0.04956957595129025\n"
+    ),
+    (
+        "bits --counter morris --n 120 --mode exact",
+        "family,param,n,expected_bits,alt_expected_bits\n"
+        "morris,,120,1.9763479167982145,1.925996561992231\n"
+    ),
     (
         "trajectory --counter fp --d 4 --seed 7 --n 100",
         "family,param,seed,n,k,estimate,rel_error\n"

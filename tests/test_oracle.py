@@ -12,6 +12,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcount import (
     CounterParams,
@@ -48,6 +50,26 @@ def reference_distribution(params, n):
             nxt[k + 1] += q * p
         probs = {k: p for k, p in nxt.items() if p}
     return probs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.one_of(st.none(), st.integers(0, 6)),
+    n=st.integers(0, 40),
+    extra=st.lists(st.integers(0, 40), max_size=4),
+)
+def test_window_walker_matches_reference(d, n, extra):
+    # both arithmetic modes of the one window walker against the dict DP
+    params = MORRIS if d is None else CounterParams.fp(d)
+    ref = reference_distribution(params, n)
+    exact = step_distribution(params, n, MODE_EXACT)
+    assert {k: p for k, p in enumerate(exact.probs) if p} == ref
+    approx = step_distribution(params, n, MODE_FLOAT)
+    for k, p in enumerate(approx.probs):
+        assert abs(p - ref.get(k, 0)) <= 1e-13
+    for rec in sweep_moments(params, [n, *extra], MODE_EXACT):
+        assert rec.mean == rec.n
+        assert rec.variance == rec.mean_variance_fn
 
 
 class TestStepDistribution:
