@@ -3,14 +3,15 @@
 Reproduces, for many replicates at once, exactly the bit streams of
 :class:`fpcount.randbits.BitSource`: replicate i consumes the canonical
 stream for its own seed, and every update inspects the same bits in the
-same order as :func:`fpcount.counters.increment` would.  The stream is
-counter-based, so any 64-bit block is computed directly from
-(seed, block index) with vectorized uint64 arithmetic -- no per-stream
-state beyond the current bit position.
+same order as :func:`fpcount.counters.increment` would.  The engine
+keeps one bit position per replicate and asks :mod:`fpcount.randbits`,
+which computes every stream block, for the 64 bits at each position
+(``stream_window64``) or the 53-bit uniform drawn there
+(``stream_uniform53``); it never mixes or indexes blocks itself.
 
 A bit-scan update at state k inspects t = k >> d bits and stops at the
 first 1.  One form covers every t, t = 0 included: the next t stream bits
-are ``win = (next64 >> 1) >> (63 - t)``, the update advances iff
+are ``win = (window >> 1) >> (63 - t)``, the update advances iff
 ``win == 0``, and it consumes ``min(t, t + 1 - bit_length(win))`` bits.
 
 Replicates saturate at the scalar path's ``DEFAULT_CEILING``: once there
@@ -28,43 +29,14 @@ import numpy as np
 
 from .chain import CounterParams, Family, estimate_float, transition_prob
 from .counters import DEFAULT_CEILING
+from .randbits import stream_uniform53, stream_window64
 
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 _U1 = np.uint64(1)
-_U6 = np.uint64(6)
-_U11 = np.uint64(11)
-_U30 = np.uint64(30)
-_U27 = np.uint64(27)
-_U31 = np.uint64(31)
 _U53 = np.uint64(53)
 _U63 = np.uint64(63)
-_INV53 = 2.0**-53
 _CEILING = np.uint64(DEFAULT_CEILING)
 
 _MAX_SCAN = 52  # uint64 -> float64 bit-length trick is exact below 2**53
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U30)) * _MIX1
-    z = (z ^ (z >> _U27)) * _MIX2
-    return z ^ (z >> _U31)
-
-
-def _block(seeds: np.ndarray, index: np.ndarray) -> np.ndarray:
-    return _mix64(seeds + (index + _U1) * _PHI)
-
-
-def _extract64(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The next 64 stream bits from bit offset `pos`, MSB-first."""
-    b0 = pos >> _U6
-    off = pos & _U63
-    w0 = _block(seeds, b0)
-    w1 = _block(seeds, b0 + _U1)
-    # (w1 >> 1) >> (63 - off) == w1 >> (64 - off), and is 0 at off == 0
-    # without an undefined shift by 64
-    return (w0 << off) | ((w1 >> _U1) >> (_U63 - off))
 
 
 def _bit_lengths(win: np.ndarray) -> np.ndarray:
@@ -105,12 +77,11 @@ def simulate(
     for m in range(1, (cps[-1] if cps else 0) + 1):
         # the family's decision: which replicates step, and the bits each used
         if qary:
-            u = (_extract64(seeds, pos) >> _U11).astype(np.float64) * _INV53
-            step = u < thresh[k]
+            step = stream_uniform53(seeds, pos) < thresh[k]
             used = _U53
         else:
             t = k >> shift
-            win = (_extract64(seeds, pos) >> _U1) >> (_U63 - t)
+            win = (stream_window64(seeds, pos) >> _U1) >> (_U63 - t)
             step = win == 0
             used = np.minimum(t, t + _U1 - _bit_lengths(win))
         if m > DEFAULT_CEILING:

@@ -172,8 +172,8 @@ def estimate(params: CounterParams, k: int) -> int | float:
     """Unbiased count estimate f(k) for a chain observed in state k.
 
     Exact int for morris/fp: with k = M*t + u, f(k) = (M + u)*2**t - M.
-    Float for qary: f(k) = (q**k - 1)/(q - 1), computed via expm1 so the
-    relative error stays at a few ulps for every representable k.
+    Float for qary: f(k) = (q**k - 1)/(q - 1), computed via expm1; the
+    rounded exponent k*ln2/r puts the relative error of order k/r ulps.
     """
     _require_state(k)
     if params.family is Family.QARY:
@@ -256,14 +256,16 @@ def relative_spread(params: CounterParams, k: int) -> float:
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
-    """sqrt(num/den) for ints num >= 0 and den > 0, from the rounded exact ratio.
+    """sqrt(num/den) for ints num >= 0 and den > 0, correctly rounded.
 
-    The ratio is rounded at 2**-e for an even e that brings it near 1 and
-    its root scaled back by 2**(e/2), so a ratio outside the double range
-    whose root is inside it neither overflows nor underflows on the way.
+    s makes r = isqrt(num * 4**s // den) at least 2**55 for num > 0.  With
+    a sticky bit set if the division or the root is inexact, the correctly
+    rounded int quotient (2r + sticky) / 2**(s + 1) is then the true root's.
     """
-    e = (num.bit_length() - den.bit_length()) & ~1
-    return math.ldexp(math.sqrt(Fraction(num, den) / Fraction(2) ** e), e // 2)
+    s = max(0, (112 - num.bit_length() + den.bit_length()) // 2)
+    q, rem = divmod(num << (2 * s), den)
+    r = math.isqrt(q)
+    return ((r << 1) | (rem != 0 or r * r != q)) / (1 << (s + 1))
 
 
 @dataclass(frozen=True)

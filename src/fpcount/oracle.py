@@ -26,8 +26,9 @@ Two evaluation modes:
   n = 1000 takes 19 s for morris, 4 s for fp(2) and 1.1 s for fp(4), and
   n = 2000 takes 79 s for fp(2), 20 s for fp(4) and 1.3 s for fp(8).
 * ``float``: IEEE doubles (scale = 1.0) over the window of states whose
-  probability has not underflowed to zero; the window is a few hundred
-  states wide, so sweeps to n = 10**5 and beyond take about a second.
+  probability has not underflowed to zero at the top or sunk to 1e-300 at
+  the bottom; the window is a few hundred states wide, so sweeps to
+  n = 10**5 and beyond take about a second.
   Each weighted sum is ``math.fsum`` of the products, and the variance
   sums centred squares, the numerically stable form.
 """
@@ -53,6 +54,10 @@ from .chain import (
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
+
+# w * q for a subnormal w and q <= 1/2 can round to 0, so without this floor
+# a bottom weight could stay forever while its true probability decays
+_FLOAT_FLOOR = 1e-300
 
 __all__ = [
     "BitCost",
@@ -104,11 +109,12 @@ class MomentRecord:
 def _windows(
     params: CounterParams, n_max: int, exact: bool
 ) -> Iterator[tuple[int, int, np.ndarray, int | float]]:
-    """Yield (n, lo, weights, scale) for n = 0..n_max, zero states trimmed.
+    """Yield (n, lo, weights, scale) for n = 0..n_max, dead states trimmed.
 
     Weights are Python ints (object array) over 2**e, or doubles over 1.0.
     """
     lo, scale = 0, (1 if exact else 1.0)
+    floor = 0 if exact else _FLOAT_FLOOR
     w = np.array([scale], dtype=object if exact else float)
     if exact:
         # scan lengths stay Python ints: a numpy int64 would overflow scale
@@ -134,7 +140,7 @@ def _windows(
         new[1:] += move
         del move, stay  # the consumer runs while this is suspended: free early
         start, end = 0, new.size  # the window holds all the mass, so never empty
-        while new[start] == 0:
+        while new[start] <= floor:
             start += 1
         while new[end - 1] == 0:
             end -= 1

@@ -5,10 +5,13 @@ output function: block j (j = 0, 1, ...) of the stream is
 
     mix64((seed + (j + 1) * 0x9E3779B97F4A7C15) mod 2**64)
 
-and bits are delivered most-significant-bit first within each block.
-The construction is counter-based -- any block is computable directly
-from (seed, j) -- which is what lets the vectorized ensemble engine
-reproduce these exact streams in bulk.
+and bits are delivered most-significant-bit first within each block, so
+stream bit ``pos`` is bit ``63 - (pos & 63)`` of block ``pos >> 6``.
+This module alone computes blocks, for both readers: :class:`BitSource`
+reads one seed's stream in order, and :func:`stream_window64` and
+:func:`stream_uniform53` read many seeds at once, at any positions, with
+vectorized uint64 arithmetic for the ensemble engine.  Blocks are
+computed from (seed, j) directly, so a reader's state is its position.
 
 Every consumer counts consumed bits exactly (``stream_position``), so
 identical call sequences from identical seeds replay bit-for-bit and
@@ -16,16 +19,25 @@ bit budgets can be audited.
 
 :class:`BitSource` reads whole spans of its buffered block at once:
 ``take_bits`` and the ``bernoulli_pow2`` scan each take a span with one
-shift and mask instead of one ``next_bit`` call per bit.  The scan still
-stops at the first 1, so it consumes exactly the bits the bit-by-bit
-loop of :class:`BitStream` would.
+shift and mask instead of one ``next_bit`` call per bit, and a nonzero
+scan span is consumed through its first 1, so the scan consumes exactly
+the bits the bit-by-bit loop of :class:`BitStream` would.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
+
+# uint64 images for the vectorized reader, made once so that no array
+# operation has to convert a Python int
+_V_GOLDEN, _V_MIX1, _V_MIX2 = map(np.uint64, (_GOLDEN, _MIX1, _MIX2))
+_V1, _V6, _V11, _V27, _V30, _V31, _V63 = map(np.uint64, (1, 6, 11, 27, 30, 31, 63))
 
 __all__ = [
     "BitSource",
@@ -40,14 +52,37 @@ __all__ = [
 def mix64(value: int) -> int:
     """splitmix64 finalizer: a fixed 64-bit avalanche permutation."""
     z = value & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_vec(z: np.ndarray) -> np.ndarray:
+    # mix64 op for op on uint64 arrays, which wrap mod 2**64 themselves
+    z = (z ^ (z >> _V30)) * _V_MIX1
+    z = (z ^ (z >> _V27)) * _V_MIX2
+    return z ^ (z >> _V31)
 
 
 def stream_block(seed: int, index: int) -> int:
     """64-bit block `index` of the canonical stream for `seed`."""
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
+
+
+def stream_window64(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Stream bits pos .. pos + 63 of each seed as one uint64, first bit highest."""
+    off = pos & _V63
+    counter = seeds + ((pos >> _V6) + _V1) * _V_GOLDEN  # block pos >> 6
+    hi = _mix64_vec(counter)
+    lo = _mix64_vec(counter + _V_GOLDEN)
+    # (lo >> 1) >> (63 - off) == lo >> (64 - off), and is 0 at off == 0
+    # without an undefined shift by 64
+    return (hi << off) | ((lo >> _V1) >> (_V63 - off))
+
+
+def stream_uniform53(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The ``next_uniform53`` draw at bit `pos` of each seed's stream."""
+    return (stream_window64(seeds, pos) >> _V11).astype(np.float64) * _U53
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -100,73 +135,59 @@ class BitStream:
 
 
 class BitSource(BitStream):
-    """Deterministic bit stream over the canonical splitmix64 blocks."""
+    """Deterministic bit stream over the canonical splitmix64 blocks.
 
-    __slots__ = ("seed", "stream_position", "_block_index", "_buffer", "_avail")
+    ``stream_position`` is the whole state: the bits left in the buffered
+    block are ``-stream_position & 63``, and when none are left the next
+    read loads block ``stream_position >> 6``.
+    """
+
+    __slots__ = ("seed", "stream_position", "_buffer")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self.stream_position = 0
-        self._block_index = 0
         self._buffer = 0
-        self._avail = 0
 
     def next_bit(self) -> int:
-        avail = self._avail
-        if not avail:
-            self._buffer = stream_block(self.seed, self._block_index)
-            self._block_index += 1
-            avail = 64
-        avail -= 1
-        self._avail = avail
-        self.stream_position += 1
-        return (self._buffer >> avail) & 1
+        return self.take_bits(1)
 
     def take_bits(self, count: int) -> int:
-        # bulk variant of next_bit: grabs whole spans out of the current
-        # block instead of looping bit by bit
         out = 0
-        need = count
-        avail = self._avail
+        pos = self.stream_position
         buf = self._buffer
-        while need:
+        while count:
+            avail = -pos & 63
             if not avail:
-                buf = stream_block(self.seed, self._block_index)
-                self._block_index += 1
+                buf = stream_block(self.seed, pos >> 6)
                 avail = 64
-            grab = need if need < avail else avail
-            avail -= grab
-            out = (out << grab) | ((buf >> avail) & ((1 << grab) - 1))
-            need -= grab
+            grab = count if count < avail else avail
+            out = (out << grab) | ((buf >> (avail - grab)) & ((1 << grab) - 1))
+            pos += grab
+            count -= grab
         self._buffer = buf
-        self._avail = avail
-        self.stream_position += count
+        self.stream_position = pos
         return out
 
     def bernoulli_pow2(self, t: int) -> bool:
-        # word-level scan: each span is tested with one shift and mask,
-        # and a nonzero span is consumed through its first 1
-        need = t
-        avail = self._avail
+        pos = self.stream_position
         buf = self._buffer
-        while need:
+        while t:
+            avail = -pos & 63
             if not avail:
-                buf = stream_block(self.seed, self._block_index)
-                self._block_index += 1
+                buf = stream_block(self.seed, pos >> 6)
                 avail = 64
-            grab = need if need < avail else avail
-            avail -= grab
-            chunk = (buf >> avail) & ((1 << grab) - 1)
+            grab = t if t < avail else avail
+            chunk = (buf >> (avail - grab)) & ((1 << grab) - 1)
+            pos += grab
             if chunk:
                 # the first 1 sits chunk.bit_length() bits from the span's end
                 self._buffer = buf
-                self._avail = avail + chunk.bit_length() - 1
-                self.stream_position += t - need + grab - chunk.bit_length() + 1
+                self.stream_position = pos - chunk.bit_length() + 1
                 return False
-            need -= grab
+            t -= grab
         self._buffer = buf
-        self._avail = avail
-        self.stream_position += t
+        self.stream_position = pos
         return True
 
 

@@ -2,6 +2,7 @@
 f, the variance function g, closed forms vs defining series, spread and
 asymptotic accuracy windows, and float-range policing."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -190,12 +191,17 @@ class TestAccuracyLimits:
         assert bounds.lower == pytest.approx(math.sqrt(1 / 47), rel=1e-15)
         assert bounds.upper == pytest.approx(math.sqrt(3 / 125), rel=1e-15)
 
-    def test_fp_window_matches_double_formula_to_d_50(self):
-        for d in range(51):
+    def test_fp_window_is_the_correctly_rounded_root(self):
+        # a 60-digit root is far closer to the exact one than any gap to a
+        # rounding boundary here, so float() of it is the correctly rounded
+        # double; math.sqrt(1.0 / (3*m - 1)) rounds twice and misses at d = 10
+        ctx = decimal.Context(prec=60)
+        for d in [*range(65), 1000, 2000]:
             m = 1 << d
             bounds = accuracy_limits(CounterParams.fp(d))
-            assert bounds.lower == math.sqrt(1.0 / (3 * m - 1))
-            assert bounds.upper == math.sqrt(3.0 / (8 * m - 3))
+            lower = ctx.sqrt(ctx.divide(1, 3 * m - 1))
+            upper = ctx.sqrt(ctx.divide(3, 8 * m - 3))
+            assert (bounds.lower, bounds.upper) == (float(lower), float(upper)), d
 
     def test_fp_window_past_the_int_to_float_range(self):
         bounds = accuracy_limits(CounterParams.fp(2000))  # 3 * 2**2000 overflows

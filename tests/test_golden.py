@@ -59,6 +59,13 @@ GOLDEN = [
         "family,param,n,mean,variance,accuracy\n"
         "fp,7,700,700.0,1204.000001395459,0.04956957595129025\n"
     ),
+    # a float window whose bottom would otherwise hold hundreds of stuck
+    # subnormal weights
+    (
+        "oracle --counter fp --d 8 --n 20000",
+        "family,param,n,mean,variance,accuracy\n"
+        "fp,8,20000,20000.00000000002,577248.0000016866,0.037988419288043744\n"
+    ),
     (
         "bits --counter morris --n 120 --mode exact",
         "family,param,n,expected_bits,alt_expected_bits\n"

@@ -31,6 +31,7 @@ from fpcount import (
     transition_prob,
     variance_fn,
 )
+from fpcount.oracle import _FLOAT_FLOOR, _windows
 
 MORRIS = CounterParams.morris()
 FP1 = CounterParams.fp(1)
@@ -207,6 +208,12 @@ class TestSweepMoments:
         ex = sweep_moments(FP4, [256], MODE_EXACT)[0]
         fl = sweep_moments(FP4, [256], MODE_FLOAT)[0]
         assert fl.accuracy == pytest.approx(ex.accuracy, rel=1e-12)
+
+    def test_float_windows_shed_their_lower_tail(self):
+        # a subnormal bottom weight times q = 2**-t can round to 0 and stay
+        # put forever; the floor drops it (fp(8) kept 878 at n = 20000)
+        for _, _, weights, _ in _windows(CounterParams.fp(8), 20000, exact=False):
+            assert weights[0] > _FLOAT_FLOOR
 
 
 class TestExpectedBits:

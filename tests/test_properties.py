@@ -1,9 +1,12 @@
 """Property tests for the fast paths against their references.
 
-* ``BitSource.bernoulli_pow2`` scans by word; the bit-by-bit loop of
-  ``BitStream.bernoulli_pow2`` is its reference.  Blocks are drawn
-  sparse and all-zero as well as random, so scans of t >= 64 succeed
-  and cross block boundaries.
+* ``BitSource`` reads by word; the bit-by-bit loops of ``BitStream``
+  over a script of the same blocks' bits are its reference, for every
+  reader method.  Blocks are drawn sparse and all-zero as well as
+  random, so scans of t >= 64 succeed and cross block boundaries.
+* ``stream_window64`` and ``stream_uniform53`` read many seeds at
+  arbitrary positions; the stream's definition (``stream_block``, bits
+  MSB-first) and ``BitSource`` are their references.
 * ``CounterTable.increment`` updates a packed slot in one pass; a
   replay through ``counters.increment`` with the slot's ceiling, plus
   the documented snapshot layout, is its reference.
@@ -12,8 +15,11 @@
 * ``_engine.simulate`` runs replicates side by side; the
   ``counters.increment`` loop over each replicate's stream is its
   reference, for states, consumed bits and estimates.
+* The qary closed forms ``estimate`` and ``variance_fn`` round an
+  exponent of size k/r; 50-digit ``decimal`` values are their reference.
 """
 
+import decimal
 import struct
 from unittest import mock
 
@@ -26,13 +32,23 @@ from fpcount import (
     CounterState,
     CounterTable,
     SlotEstimate,
+    estimate,
     estimate_float,
     increment,
     new_counter,
+    variance_fn,
 )
 from fpcount._engine import simulate
 from fpcount.chain import CounterRangeError
-from fpcount.randbits import BitSource, BitStream, child_seed
+from fpcount.randbits import (
+    BitSource,
+    BitStream,
+    ScriptedBitSource,
+    child_seed,
+    stream_block,
+    stream_uniform53,
+    stream_window64,
+)
 
 blocks = st.lists(
     st.one_of(
@@ -44,7 +60,7 @@ blocks = st.lists(
     max_size=6,
 )
 ops = st.lists(
-    st.tuples(st.sampled_from(["scan", "take"]), st.integers(0, 140)),
+    st.tuples(st.sampled_from(["scan", "take", "bit", "u53"]), st.integers(0, 140)),
     max_size=60,
 )
 
@@ -55,15 +71,23 @@ def test_word_scan_matches_bit_loop(blocks, ops):
     def block(seed, index):
         return blocks[index % len(blocks)]
 
-    fast, ref = BitSource(0), BitSource(0)
+    # 60 ops of at most 140 bits, then 64: fewer than 134 blocks' worth
+    ref = ScriptedBitSource(
+        "".join(format(blocks[j % len(blocks)], "064b") for j in range(134))
+    )
+    fast = BitSource(0)
     with mock.patch("fpcount.randbits.stream_block", block):
         for op, n in ops:
             if op == "scan":
-                assert fast.bernoulli_pow2(n) == BitStream.bernoulli_pow2(ref, n)
+                assert fast.bernoulli_pow2(n) == ref.bernoulli_pow2(n)
+            elif op == "take":
+                assert fast.take_bits(n) == ref.take_bits(n)
+            elif op == "bit":
+                assert fast.next_bit() == ref.next_bit()
             else:
-                assert fast.take_bits(n) == BitStream.take_bits(ref, n)
+                assert fast.next_uniform53() == ref.next_uniform53()
             assert fast.stream_position == ref.stream_position
-        assert fast.take_bits(64) == BitStream.take_bits(ref, 64)
+        assert fast.take_bits(64) == ref.take_bits(64)
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,6 +100,37 @@ def test_word_scan_matches_bit_loop_on_canonical_stream(seed, ts):
     for t in ts:
         assert fast.bernoulli_pow2(t) == BitStream.bernoulli_pow2(ref, t)
         assert fast.stream_position == ref.stream_position
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    reads=st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1),
+            st.one_of(
+                st.integers(0, 4096),
+                st.integers(0, 2**14 - 1).map(lambda j: 64 * j),
+                st.integers(0, 2**14 - 1).map(lambda j: 64 * j + 63),
+                st.integers(0, 2**20 - 1),
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_vector_reader_matches_stream_definition(reads):
+    seeds = np.array([s for s, _ in reads], dtype=np.uint64)
+    pos = np.array([p for _, p in reads], dtype=np.uint64)
+    windows = stream_window64(seeds, pos)
+    uniforms = stream_uniform53(seeds, pos)
+    for i, (seed, p) in enumerate(reads):
+        j, off = p >> 6, p & 63
+        pair = (stream_block(seed, j) << 64) | stream_block(seed, j + 1)
+        assert int(windows[i]) == ((pair << off) >> 64) & (2**64 - 1)
+        if p <= 4096:
+            src = BitSource(seed)
+            src.take_bits(p)
+            assert uniforms[i] == src.next_uniform53()
 
 
 def _outcome(thunk):
@@ -212,3 +267,24 @@ def test_engine_matches_scalar_loop(run):
                 assert int(bits[ci, i]) == src.stream_position
                 assert estimates[ci, i] == estimate_float(params, state.k)
                 ci += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rk=st.integers(1, 32).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(1, min(5000, 500 * r)))
+    )
+)
+def test_qary_closed_forms_match_high_precision(rk):
+    # the exponent k*ln2/r is rounded, so the relative error grows like k/r
+    # ulps; g = second - f cancels at small k, so its error is measured
+    # against the larger term, second = g + f
+    r, k = rk
+    with decimal.localcontext(decimal.Context(prec=50)):
+        a = decimal.Decimal(2).ln() / r
+        f = ((a * k).exp() - 1) / (a.exp() - 1)
+        second = ((2 * a * k).exp() - 1) / ((2 * a).exp() - 1)
+        tol = decimal.Decimal(4 * (1 + k / r) * 2.0**-52)
+    params = CounterParams.qary(r)
+    assert abs(decimal.Decimal(estimate(params, k)) - f) <= tol * f
+    assert abs(decimal.Decimal(variance_fn(params, k)) - (second - f)) <= tol * second
