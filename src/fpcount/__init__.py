@@ -17,100 +17,18 @@ bit-packed counter tables with a stable snapshot format
 (:mod:`fpcount.table`), and a CLI (``fpcount``).
 """
 
-from .chain import (
-    AccuracyBounds,
-    CounterParams,
-    CounterRangeError,
-    Family,
-    accuracy_limits,
-    estimate,
-    estimate_float,
-    estimate_series,
-    relative_spread,
-    transition_prob,
-    variance_fn,
-    variance_series,
-)
-from .counters import (
-    DEFAULT_CEILING,
-    CounterState,
-    decompose,
-    increment,
-    new_counter,
-    storage_bits,
-)
-from .ensemble import (
-    CheckpointStats,
-    EnsembleReport,
-    TrajectoryPoint,
-    linear_checkpoints,
-    log_checkpoints,
-    merge_reports,
-    run_ensemble,
-    run_trajectory,
-)
-from .oracle import (
-    MODE_EXACT,
-    MODE_FLOAT,
-    BitCost,
-    MomentRecord,
-    StepDistribution,
-    accuracy,
-    expected_bits,
-    expected_estimate,
-    expected_variance_fn,
-    estimator_variance,
-    step_distribution,
-    sweep_moments,
-)
-from .randbits import BitSource, BitStream, ScriptedBitSource, child_seed
-from .table import CounterTable, SlotEstimate
+from . import chain, counters, ensemble, oracle, randbits, table
+from .chain import *
+from .counters import *
+from .ensemble import *
+from .oracle import *
+from .randbits import *
+from .table import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyBounds",
-    "BitCost",
-    "BitSource",
-    "BitStream",
-    "CheckpointStats",
-    "CounterParams",
-    "CounterRangeError",
-    "CounterState",
-    "CounterTable",
-    "DEFAULT_CEILING",
-    "EnsembleReport",
-    "Family",
-    "MODE_EXACT",
-    "MODE_FLOAT",
-    "MomentRecord",
-    "ScriptedBitSource",
-    "SlotEstimate",
-    "StepDistribution",
-    "TrajectoryPoint",
-    "accuracy",
-    "accuracy_limits",
-    "child_seed",
-    "decompose",
-    "estimate",
-    "estimate_float",
-    "estimate_series",
-    "estimator_variance",
-    "expected_bits",
-    "expected_estimate",
-    "expected_variance_fn",
-    "increment",
-    "linear_checkpoints",
-    "log_checkpoints",
-    "merge_reports",
-    "new_counter",
-    "relative_spread",
-    "run_ensemble",
-    "run_trajectory",
-    "step_distribution",
-    "storage_bits",
-    "sweep_moments",
-    "transition_prob",
-    "variance_fn",
-    "variance_series",
+    name
+    for module in (chain, counters, ensemble, oracle, randbits, table)
+    for name in module.__all__
 ]

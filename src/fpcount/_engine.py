@@ -5,14 +5,10 @@ Reproduces, for many replicates at once, exactly the bit streams of
 stream for its own seed, and every update inspects the same bits in the
 same order as :func:`fpcount.counters.increment` would.  The engine
 keeps one bit position per replicate and asks :mod:`fpcount.randbits`,
-which computes every stream block, for the 64 bits at each position
-(``stream_window64``) or the 53-bit uniform drawn there
-(``stream_uniform53``); it never mixes or indexes blocks itself.
-
-A bit-scan update at state k inspects t = k >> d bits and stops at the
-first 1.  One form covers every t, t = 0 included: the next t stream bits
-are ``win = (window >> 1) >> (63 - t)``, the update advances iff
-``win == 0``, and it consumes ``min(t, t + 1 - bit_length(win))`` bits.
+which computes every stream block and decides what each step consumes,
+for the outcome and length of the t = k >> d bit scan at each position
+(``stream_scan``) or the 53-bit uniform drawn there
+(``stream_uniform53``); it does no bit arithmetic itself.
 
 Replicates saturate at the scalar path's ``DEFAULT_CEILING``: once there
 they stay put and consume no bits.  Since k <= m after m updates, the
@@ -29,19 +25,10 @@ import numpy as np
 
 from .chain import CounterParams, Family, estimate_float, transition_prob
 from .counters import DEFAULT_CEILING
-from .randbits import stream_uniform53, stream_window64
+from .randbits import MAX_SCAN, stream_scan, stream_uniform53
 
-_U1 = np.uint64(1)
 _U53 = np.uint64(53)
-_U63 = np.uint64(63)
 _CEILING = np.uint64(DEFAULT_CEILING)
-
-_MAX_SCAN = 52  # uint64 -> float64 bit-length trick is exact below 2**53
-
-
-def _bit_lengths(win: np.ndarray) -> np.ndarray:
-    # exact for values < 2**53: frexp exponent of the float image
-    return np.frexp(win.astype(np.float64))[1].astype(np.uint64)
 
 
 def simulate(
@@ -80,10 +67,7 @@ def simulate(
             step = stream_uniform53(seeds, pos) < thresh[k]
             used = _U53
         else:
-            t = k >> shift
-            win = (stream_window64(seeds, pos) >> _U1) >> (_U63 - t)
-            step = win == 0
-            used = np.minimum(t, t + _U1 - _bit_lengths(win))
+            step, used = stream_scan(seeds, pos, k >> shift)
         if m > DEFAULT_CEILING:
             live = k < _CEILING
             step &= live
@@ -91,7 +75,7 @@ def simulate(
         pos += used
         k += step.astype(np.uint64)
         if m == cps[ci]:
-            if not qary and int((k >> shift).max()) > _MAX_SCAN:
+            if not qary and int((k >> shift).max()) > MAX_SCAN:
                 raise OverflowError("scan length beyond the vectorized range")
             top = int(k.max()) + 1
             if top > est_table.size:

@@ -168,6 +168,14 @@ def transition_prob(params: CounterParams, k: int) -> Fraction | float:
     return Fraction(1, 1 << params.scan_length(k))
 
 
+def _finite_qary(value: float, what: str, params: CounterParams, k: int) -> float:
+    if not math.isfinite(value):
+        raise CounterRangeError(
+            f"{what} at qary state {k} (r={params.r}) exceeds the float range"
+        )
+    return value
+
+
 def estimate(params: CounterParams, k: int) -> int | float:
     """Unbiased count estimate f(k) for a chain observed in state k.
 
@@ -179,11 +187,10 @@ def estimate(params: CounterParams, k: int) -> int | float:
     if params.family is Family.QARY:
         r = params.r
         try:
-            return math.expm1(k * _LN2 / r) / math.expm1(_LN2 / r)
+            f = math.expm1(k * _LN2 / r) / math.expm1(_LN2 / r)
         except OverflowError:
-            raise CounterRangeError(
-                f"estimate at qary state {k} (r={r}) exceeds the float range"
-            ) from None
+            f = math.inf
+        return _finite_qary(f, "estimate", params, k)
     m, t, u = params._split(k)
     return ((m + u) << t) - m
 
@@ -193,18 +200,17 @@ def variance_fn(params: CounterParams, k: int) -> int | float:
 
     Exact int for morris/fp: with k = M*t + u,
     g(k) = (M/3 + u)*4**t - (M + u)*2**t + 2M/3, always an integer.
-    Float for qary: g(k) = (q**(2k) - 1)/(q**2 - 1) - f(k).
+    Float for qary: g(k) = (q**(2k) - 1)/(q**2 - 1) - f(k), computed as
+    f(k)*(q**k - q)/(q + 1) = f(k)*q*expm1((k - 1)*ln2/r)/(q + 1), which
+    does not cancel at small k.
     """
     _require_state(k)
     if params.family is Family.QARY:
-        r = params.r
-        try:
-            second = math.expm1(2 * k * _LN2 / r) / math.expm1(2 * _LN2 / r)
-        except OverflowError:
-            raise CounterRangeError(
-                f"variance_fn at qary state {k} (r={r}) exceeds the float range"
-            ) from None
-        return second - estimate(params, k)
+        if not k:
+            return 0.0  # f(0) = 0 would make the product below -0.0
+        q = params.base
+        g = estimate(params, k) * (q * math.expm1((k - 1) * _LN2 / params.r) / (q + 1))
+        return _finite_qary(g, "variance_fn", params, k)
     m, t, u = params._split(k)
     numerator = ((m + 3 * u) << (2 * t)) - ((3 * (m + u)) << t) + 2 * m
     return numerator // 3

@@ -12,8 +12,8 @@ table-demo   fill a packed counter table and report per-slot estimates
 Output is CSV (default) or JSON with identical fields; reruns with
 identical flags produce byte-identical output.  Exit codes: 0 success,
 2 usage error, 3 numeric range failure.  Flag errors print argparse's
-usage line; inputs the library rejects (a ``ValueError``) print the one
-line ``fpcount: error: <message>`` with no usage line.
+usage line; inputs the library rejects (a ``ValueError``) or that exhaust
+memory print the one line ``fpcount: error: <message>`` with no usage line.
 """
 
 from __future__ import annotations
@@ -283,8 +283,8 @@ def execute(args: argparse.Namespace) -> int:
     except OverflowError as exc:
         print(f"fpcount: numeric range failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"fpcount: error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"fpcount: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     _emit(rows, args.output)
     return 0

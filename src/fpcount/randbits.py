@@ -7,11 +7,13 @@ output function: block j (j = 0, 1, ...) of the stream is
 
 and bits are delivered most-significant-bit first within each block, so
 stream bit ``pos`` is bit ``63 - (pos & 63)`` of block ``pos >> 6``.
-This module alone computes blocks, for both readers: :class:`BitSource`
-reads one seed's stream in order, and :func:`stream_window64` and
-:func:`stream_uniform53` read many seeds at once, at any positions, with
-vectorized uint64 arithmetic for the ensemble engine.  Blocks are
-computed from (seed, j) directly, so a reader's state is its position.
+This module alone computes blocks, and alone decides how many bits a
+scan or a uniform draw consumes, in both forms: :class:`BitSource` reads
+one seed's stream in order, and :func:`stream_scan` and
+:func:`stream_uniform53` (over :func:`stream_window64`) read many seeds
+at once, at any positions, with vectorized uint64 arithmetic for the
+ensemble engine.  Blocks are computed from (seed, j) directly, so a
+reader's state is its position.
 
 Every consumer counts consumed bits exactly (``stream_position``), so
 identical call sequences from identical seeds replay bit-for-bit and
@@ -33,6 +35,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
+MAX_SCAN = 52  # the longest scan stream_scan computes exactly
 
 # uint64 images for the vectorized reader, made once so that no array
 # operation has to convert a Python int
@@ -83,6 +86,23 @@ def stream_window64(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
 def stream_uniform53(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The ``next_uniform53`` draw at bit `pos` of each seed's stream."""
     return (stream_window64(seeds, pos) >> _V11).astype(np.float64) * _U53
+
+
+def stream_scan(
+    seeds: np.ndarray, pos: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``bernoulli_pow2(t)`` scan at bit `pos` of each seed's stream.
+
+    Returns (advanced, used): whether the t bits from `pos` are all 0, and
+    the bits the scan consumes, through the first 1 or all t.  One form
+    covers every uint64 t up to MAX_SCAN, t = 0 included: the t bits are
+    ``win = (window >> 1) >> (63 - t)``, and ``used = min(t, t + 1 -
+    bit_length(win))``, with the bit length read off the exponent of
+    win's float image, which is exact below 2**53.
+    """
+    win = (stream_window64(seeds, pos) >> _V1) >> (_V63 - t)
+    bit_length = np.frexp(win.astype(np.float64))[1].astype(np.uint64)
+    return win == 0, np.minimum(t, t + _V1 - bit_length)
 
 
 def child_seed(seed: int, index: int) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import sys
 from typing import NamedTuple
 
 from .chain import CounterParams, estimate_float
@@ -63,12 +64,17 @@ class CounterTable:
             raise ValueError("width must be at least d + 1 (one exponent bit)")
         if width > 32:
             raise ValueError("width must be at most 32")
+        payload_bytes = (num_slots * width + 7) >> 3
+        if payload_bytes > sys.maxsize:
+            raise ValueError(
+                f"{num_slots} slots x {width} bits exceed the largest possible payload"
+            )
         self.num_slots = num_slots
         self.d = d
         self.width = width
         self.saturation_count = 0
         self._max_value = (1 << width) - 1
-        self._data = bytearray((num_slots * width + 7) >> 3)
+        self._data = bytearray(payload_bytes)
 
     @property
     def payload_bytes(self) -> int:

@@ -254,5 +254,23 @@ class TestEstimateFloat:
         with pytest.raises(CounterRangeError):
             estimate_float(MORRIS, 2**40)
 
+    @pytest.mark.parametrize("r", range(1, 33))
+    def test_qary_finite_until_range_error(self, r):
+        # estimate and variance_fn stay finite up to their first refusal,
+        # and refuse from there on instead of returning inf
+        params = CounterParams.qary(r)
+        for fn in (estimate, variance_fn):
+            k = 0
+            while True:
+                try:
+                    value = fn(params, k)
+                except CounterRangeError:
+                    break
+                assert math.isfinite(value), (fn.__name__, k)
+                k += 1
+            for later in (k + 1, k + 100, 2 * k, 10**6):
+                with pytest.raises(CounterRangeError):
+                    fn(params, later)
+
     def test_range_error_is_an_overflow_error(self):
         assert issubclass(CounterRangeError, OverflowError)

@@ -225,6 +225,11 @@ class TestFailurePaths:
                 "width must be at most 32",
                 id="table-demo-width-40",
             ),
+            pytest.param(
+                ["table-demo", "--counter", "fp", "--d", "4", "--slots", str(2**63)],
+                f"{2**63} slots x 8 bits exceed the largest possible payload",
+                id="table-demo-slots-2**63",
+            ),
         ],
     )
     def test_library_errors_exit_2_without_traceback(self, argv, message, capsys):
@@ -246,6 +251,19 @@ class TestFailurePaths:
         captured = capsys.readouterr()
         assert code == 3
         assert "numeric range failure" in captured.err
+        assert captured.out == ""
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        import fpcount.cli as cli_module
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "CounterTable", no_memory)
+        code = main(["table-demo", "--counter", "fp", "--d", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "fpcount: error: out of memory\n"
         assert captured.out == ""
 
     def test_unknown_command_exits_2(self):

@@ -7,6 +7,9 @@
 * ``stream_window64`` and ``stream_uniform53`` read many seeds at
   arbitrary positions; the stream's definition (``stream_block``, bits
   MSB-first) and ``BitSource`` are their references.
+* ``stream_scan`` is the vector form of ``bernoulli_pow2``; the scalar
+  scan on a ``BitSource`` at the same position is its reference, for
+  the outcome and the bits consumed.
 * ``CounterTable.increment`` updates a packed slot in one pass; a
   replay through ``counters.increment`` with the slot's ceiling, plus
   the documented snapshot layout, is its reference.
@@ -41,11 +44,13 @@ from fpcount import (
 from fpcount._engine import simulate
 from fpcount.chain import CounterRangeError
 from fpcount.randbits import (
+    MAX_SCAN,
     BitSource,
     BitStream,
     ScriptedBitSource,
     child_seed,
     stream_block,
+    stream_scan,
     stream_uniform53,
     stream_window64,
 )
@@ -131,6 +136,33 @@ def test_vector_reader_matches_stream_definition(reads):
             src = BitSource(seed)
             src.take_bits(p)
             assert uniforms[i] == src.next_uniform53()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scans=st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1),
+            # block starts and ends, where a scan of t >= 2 straddles two blocks
+            st.one_of(
+                st.integers(0, 40).map(lambda j: 64 * j),
+                st.integers(0, 40).map(lambda j: 64 * j + 63),
+                st.integers(0, 64 * 41),
+            ),
+            st.integers(0, MAX_SCAN),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_vector_scan_matches_bernoulli_pow2(scans):
+    seeds, pos, ts = (np.array(col, dtype=np.uint64) for col in zip(*scans))
+    advanced, used = stream_scan(seeds, pos, ts)
+    for i, (seed, p, t) in enumerate(scans):
+        src = BitSource(seed)
+        src.take_bits(p)
+        assert bool(advanced[i]) == src.bernoulli_pow2(t)
+        assert int(used[i]) == src.stream_position - p
 
 
 def _outcome(thunk):
@@ -277,14 +309,13 @@ def test_engine_matches_scalar_loop(run):
 )
 def test_qary_closed_forms_match_high_precision(rk):
     # the exponent k*ln2/r is rounded, so the relative error grows like k/r
-    # ulps; g = second - f cancels at small k, so its error is measured
-    # against the larger term, second = g + f
+    # ulps, for g as for f
     r, k = rk
     with decimal.localcontext(decimal.Context(prec=50)):
         a = decimal.Decimal(2).ln() / r
         f = ((a * k).exp() - 1) / (a.exp() - 1)
-        second = ((2 * a * k).exp() - 1) / ((2 * a).exp() - 1)
+        g = ((2 * a * k).exp() - 1) / ((2 * a).exp() - 1) - f
         tol = decimal.Decimal(4 * (1 + k / r) * 2.0**-52)
     params = CounterParams.qary(r)
     assert abs(decimal.Decimal(estimate(params, k)) - f) <= tol * f
-    assert abs(decimal.Decimal(variance_fn(params, k)) - (second - f)) <= tol * second
+    assert abs(decimal.Decimal(variance_fn(params, k)) - g) <= tol * g

@@ -27,6 +27,9 @@ def test_constructor_validation():
         CounterTable(4, 4, 4)  # width must leave an exponent bit
     with pytest.raises(ValueError):
         CounterTable(4, 2, 33)
+    # a payload past sys.maxsize bytes is refused before any allocation
+    with pytest.raises(ValueError, match=f"^{2**63} slots x 8 bits exceed"):
+        CounterTable(2**63, 2, 8)
 
 
 def test_payload_is_tightly_packed():
