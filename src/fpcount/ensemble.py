@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _engine
-from .chain import CounterParams, estimate_float
+from .chain import CounterParams, Family, estimate_float
 from .counters import increment, new_counter
 from .randbits import BitSource, child_seed
 
@@ -83,21 +83,27 @@ def run_trajectory(
     """Simulate one counter for n_max updates, sampling at checkpoints.
 
     Deterministic given the seed; updates after the last checkpoint
-    cannot be observed and are skipped.
+    cannot be observed and are skipped.  morris and fp counters skip
+    from advance to advance (``_engine.scan_trajectory``); qary loops
+    :func:`fpcount.counters.increment`.
     """
     cps = _validated_checkpoints(checkpoints, n_max)
     if not cps:
         return []
-    src = BitSource(seed)
-    state = new_counter()
+    if params.family is Family.QARY:
+        src = BitSource(seed)
+        state = new_counter()
+        ks = []
+        for m in range(1, cps[-1] + 1):
+            state = increment(state, params, src)
+            if m == cps[len(ks)]:
+                ks.append(state.k)
+    else:
+        ks = [k for k, _ in _engine.scan_trajectory(params, seed, cps)]
     out: list[TrajectoryPoint] = []
-    ci = 0
-    for m in range(1, cps[-1] + 1):
-        state = increment(state, params, src)
-        if m == cps[ci]:
-            est = estimate_float(params, state.k)
-            out.append(TrajectoryPoint(m, state.k, est, (est - m) / m))
-            ci += 1
+    for m, k in zip(cps, ks):
+        est = estimate_float(params, k)
+        out.append(TrajectoryPoint(m, k, est, (est - m) / m))
     return out
 
 

@@ -8,12 +8,14 @@ output function: block j (j = 0, 1, ...) of the stream is
 and bits are delivered most-significant-bit first within each block, so
 stream bit ``pos`` is bit ``63 - (pos & 63)`` of block ``pos >> 6``.
 This module alone computes blocks, and alone decides how many bits a
-scan or a uniform draw consumes, in both forms: :class:`BitSource` reads
-one seed's stream in order, and :func:`stream_scan` and
-:func:`stream_uniform53` (over :func:`stream_window64`) read many seeds
-at once, at any positions, with vectorized uint64 arithmetic for the
-ensemble engine.  Blocks are computed from (seed, j) directly, so a
-reader's state is its position.
+scan or a uniform draw consumes, in every form: :class:`BitSource` reads
+one seed's stream in order, :func:`stream_uniform53` (over
+:func:`stream_window64`) reads many seeds at once, at any positions,
+with vectorized uint64 arithmetic, and the skip runs whole stretches of
+``bernoulli_pow2`` scans at once, in vector form (:func:`stream_skip`,
+one 64-bit window per seed) and in scalar form (:class:`SkipReader`, a
+span of blocks held as one int).  Blocks are computed from (seed, j)
+directly, so a reader's state is its position.
 
 Every consumer counts consumed bits exactly (``stream_position``), so
 identical call sequences from identical seeds replay bit-for-bit and
@@ -35,12 +37,19 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
-MAX_SCAN = 52  # the longest scan stream_scan computes exactly
+MAX_SCAN = 64  # the longest scan one 64-bit window holds
+_SPAN_BLOCKS = 1 << 16  # the most blocks a SkipReader span holds
 
 # uint64 images for the vectorized reader, made once so that no array
 # operation has to convert a Python int
 _V_GOLDEN, _V_MIX1, _V_MIX2 = map(np.uint64, (_GOLDEN, _MIX1, _MIX2))
-_V1, _V6, _V11, _V27, _V30, _V31, _V63 = map(np.uint64, (1, 6, 11, 27, 30, 31, 63))
+_V1, _V2, _V4, _V6, _V11, _V27, _V30, _V31, _V56, _V63, _V64, _V65 = map(
+    np.uint64, (1, 2, 4, 6, 11, 27, 30, 31, 56, 63, 64, 65)
+)
+# SWAR masks: 0x55.., 0x33.., 0x0F.. and 0x0101..01
+_V_M1, _V_M2, _V_M4, _V_H01 = (
+    np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 1)
+)
 
 __all__ = [
     "BitSource",
@@ -88,21 +97,152 @@ def stream_uniform53(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return (stream_window64(seeds, pos) >> _V11).astype(np.float64) * _U53
 
 
-def stream_scan(
-    seeds: np.ndarray, pos: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``bernoulli_pow2(t)`` scan at bit `pos` of each seed's stream.
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    # SWAR: 2-bit, 4-bit and byte counts, then one multiply sums the bytes
+    # into the top byte
+    x = x - ((x >> _V1) & _V_M1)
+    x = (x & _V_M2) + ((x >> _V2) & _V_M2)
+    x = (x + (x >> _V4)) & _V_M4
+    return (x * _V_H01) >> _V56
 
-    Returns (advanced, used): whether the t bits from `pos` are all 0, and
-    the bits the scan consumes, through the first 1 or all t.  One form
-    covers every uint64 t up to MAX_SCAN, t = 0 included: the t bits are
-    ``win = (window >> 1) >> (63 - t)``, and ``used = min(t, t + 1 -
-    bit_length(win))``, with the bit length read off the exponent of
-    win's float image, which is exact below 2**53.
+
+def _bit_length64(x: np.ndarray) -> np.ndarray:
+    """Exact bit length of each uint64.
+
+    A float image is exact only below 2**53, and a long run of 1s can
+    round it up to the next power of two.  x & ~(x >> 1) keeps the top bit
+    of each run of 1s: the highest bit stays and no two kept bits are
+    adjacent, so the image cannot round past the highest bit, and its
+    binary exponent is the bit length.
     """
-    win = (stream_window64(seeds, pos) >> _V1) >> (_V63 - t)
-    bit_length = np.frexp(win.astype(np.float64))[1].astype(np.uint64)
-    return win == 0, np.minimum(t, t + _V1 - bit_length)
+    return np.frexp((x & ~(x >> _V1)).astype(np.float64))[1].astype(np.uint64)
+
+
+# row i, column t: the shift of doubling step i toward a run of t zeros;
+# a run of c = 2**i grows by min(c, t - c), so six steps reach 64
+_SCAN_STEPS = np.array(
+    [np.clip(np.arange(MAX_SCAN + 1) - c, 0, c) for c in (1, 2, 4, 8, 16, 32)],
+    dtype=np.uint64,
+)
+
+
+def stream_skip(
+    seeds: np.ndarray, pos: np.ndarray, t: np.ndarray, limit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Up to `limit` ``bernoulli_pow2(t)`` scans from bit `pos` of each stream.
+
+    The scans run until the first success, the limit, or the end of the
+    64-bit window at `pos`, whichever comes first, and take only whole
+    scans inside the window.  Returns (advanced, scans, used): whether
+    the last scan succeeded, the scans done, and the bits they consumed.
+    Requires 1 <= t <= MAX_SCAN and limit >= 1.
+
+    A failed scan is a token ``0^j 1`` with j < t and a success is ``0^t``,
+    so the success starts at the first all-zero t-bit window, which is
+    found by at most six shift-ANDs of the complement, and the failures
+    before it are the 1s before it.  With no such window the scans run
+    through the window's last 1; with `limit` failures or more they stop
+    just past the limit-th 1.
+    """
+    top = int(t.max())
+    if top > MAX_SCAN:
+        raise OverflowError("scan length beyond the 64-bit window")
+    w = stream_window64(seeds, pos)
+    # bit 63 - s of z: stream bits s .. s + t - 1 of the window are all 0
+    z = ~w
+    steps = _SCAN_STEPS[:, t]
+    for i in range((top - 1).bit_length()):
+        z &= z << steps[i]
+    length = _bit_length64(z)  # the first window starts at 64 - length
+    # the 1s before it, or in the whole window if there is none
+    # (two shifts, since a shift by 64 is undefined)
+    half = length >> _V1
+    failures = _popcount64((w >> half) >> (length - half))
+    found = length != 0
+    advanced = found & (failures < limit)
+    scans = np.minimum(failures, limit) + advanced
+    last = _V65 - _bit_length64(w & (~w + _V1))  # just past the window's last 1
+    used = np.where(advanced, _V64 - length + t, last)
+    # the limit-th failure comes before the success or the last 1
+    for i in np.flatnonzero(failures + found > limit):
+        used[i] = _after_ones(int(w[i]), 64, int(limit[i]))
+    return advanced, scans, used
+
+
+def _after_ones(x: int, n: int, r: int) -> int:
+    """Offset just past the r-th 1 of the n-bit x, counting from its first bit.
+
+    Requires 1 <= r <= x.bit_count(); a bisection on prefix popcounts.
+    """
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (x >> (n - mid)).bit_count() < r:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class SkipReader:
+    """One seed's stream read as runs of ``bernoulli_pow2`` scans.
+
+    The scalar form of :func:`stream_skip`: :meth:`skip` does what a
+    run of ``bernoulli_pow2`` calls on a :class:`BitSource` at the same
+    position would do, on a span of whole blocks held as one int.  Spans
+    are sized to the scan, about four times its mean wait, and made
+    with the vectorized block generator.
+    """
+
+    __slots__ = ("seed", "stream_position", "_span", "_end")
+
+    def __init__(self, seed: int):
+        self.seed = seed & _MASK64
+        self.stream_position = 0
+        self._span = 0  # stream bits up to _end, first bit highest
+        self._end = 0
+
+    def skip(self, t: int, limit: int) -> tuple[bool, int]:
+        """Up to `limit` ``bernoulli_pow2(t)`` scans, stopping after a success.
+
+        Returns (advanced, scans): whether the last scan succeeded and
+        how many ran.  Requires t >= 1 and limit >= 1.
+        """
+        scans = 0
+        while True:
+            pos = self.stream_position
+            n = self._end - pos
+            ones = (1 << n) - 1
+            x = self._span & ones
+            # bit n - 1 - s of z: stream bits s .. s + t - 1 of x are all 0
+            z = x ^ ones
+            c = 1
+            while c < t:
+                step = min(c, t - c)
+                z &= z << step
+                c += step
+            length = z.bit_length()
+            failures = (x >> length).bit_count()
+            if length and scans + failures < limit:
+                self.stream_position = pos + n - length + t
+                return True, scans + failures + 1
+            if scans + failures >= limit:
+                self.stream_position = pos + _after_ones(x, n, limit - scans)
+                return False, limit
+            # no window: run through the last 1, then read on with a new span
+            scans += failures
+            if x:
+                pos += n + 1 - (x & -x).bit_length()
+            self.stream_position = pos
+            self._fill(pos, t)
+
+    def _fill(self, pos: int, t: int) -> None:
+        first = pos >> 6
+        count = min(_SPAN_BLOCKS, max(4, 1 << max(0, t - 3)))
+        j = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+        blocks = _mix64_vec(np.uint64(self.seed) + j * _V_GOLDEN)
+        self._span = int.from_bytes(blocks.astype(">u8").tobytes(), "big")
+        self._end = (first + count) << 6
 
 
 def child_seed(seed: int, index: int) -> int:

@@ -7,17 +7,21 @@
 * ``stream_window64`` and ``stream_uniform53`` read many seeds at
   arbitrary positions; the stream's definition (``stream_block``, bits
   MSB-first) and ``BitSource`` are their references.
-* ``stream_scan`` is the vector form of ``bernoulli_pow2``; the scalar
-  scan on a ``BitSource`` at the same position is its reference, for
-  the outcome and the bits consumed.
+* ``stream_skip`` runs ``bernoulli_pow2`` scans within one 64-bit
+  window for many seeds; a loop of the scalar scan on a ``BitSource`` at
+  the same position, or on a script of the window's bits, is its
+  reference, for the outcome, the scans and the bits consumed.  The
+  exact bit helpers under it are pinned to Python's int methods.
 * ``CounterTable.increment`` updates a packed slot in one pass; a
   replay through ``counters.increment`` with the slot's ceiling, plus
   the documented snapshot layout, is its reference.
 * ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
   with ValueError.
-* ``_engine.simulate`` runs replicates side by side; the
-  ``counters.increment`` loop over each replicate's stream is its
-  reference, for states, consumed bits and estimates.
+* ``_engine.simulate`` runs replicates side by side, and morris and fp
+  counters skip from advance to advance, in vector form there and in
+  scalar form in ``_engine.scan_trajectory``; the ``counters.increment``
+  loop over each replicate's stream is the reference of each form on
+  its own, for states, consumed bits and estimates.
 * The qary closed forms ``estimate`` and ``variance_fn`` round an
   exponent of size k/r; 50-digit ``decimal`` values are their reference.
 """
@@ -27,7 +31,7 @@ import struct
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpcount import (
@@ -39,18 +43,22 @@ from fpcount import (
     estimate_float,
     increment,
     new_counter,
+    run_trajectory,
     variance_fn,
 )
-from fpcount._engine import simulate
-from fpcount.chain import CounterRangeError
+from fpcount._engine import scan_trajectory, simulate
+from fpcount.chain import CounterRangeError, Family
+from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import (
     MAX_SCAN,
     BitSource,
     BitStream,
     ScriptedBitSource,
+    _bit_length64,
+    _popcount64,
     child_seed,
     stream_block,
-    stream_scan,
+    stream_skip,
     stream_uniform53,
     stream_window64,
 )
@@ -138,31 +146,87 @@ def test_vector_reader_matches_stream_definition(reads):
             assert uniforms[i] == src.next_uniform53()
 
 
+def _window_scans(src, t, limit):
+    """(advanced, scans, used): whole bernoulli_pow2(t) scans on `src`
+    within 64 bits, at most `limit`, stopping after a success."""
+    start = src.stream_position
+    scans, used, advanced = 0, 0, False
+    while scans < limit and not advanced:
+        advanced = src.bernoulli_pow2(t)
+        if src.stream_position - start > 64:
+            return False, scans, used
+        scans, used = scans + 1, src.stream_position - start
+    return advanced, scans, used
+
+
+def _assert_skips(skips, seeds, pos, sources):
+    ts = np.array([t for t, _ in skips], dtype=np.uint64)
+    limits = np.array([lim for _, lim in skips], dtype=np.uint64)
+    advanced, scans, used = stream_skip(seeds, pos, ts, limits)
+    for i, ((t, limit), src) in enumerate(zip(skips, sources)):
+        want = _window_scans(src, t, limit)
+        assert (bool(advanced[i]), int(scans[i]), int(used[i])) == want
+
+
+skip_args = st.tuples(
+    st.one_of(st.integers(1, 8), st.integers(1, MAX_SCAN)),
+    st.one_of(st.integers(1, 4), st.integers(1, 70)),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     scans=st.lists(
         st.tuples(
             st.integers(0, 2**64 - 1),
-            # block starts and ends, where a scan of t >= 2 straddles two blocks
+            # block starts and ends, where a window straddles two blocks
             st.one_of(
                 st.integers(0, 40).map(lambda j: 64 * j),
                 st.integers(0, 40).map(lambda j: 64 * j + 63),
                 st.integers(0, 64 * 41),
             ),
-            st.integers(0, MAX_SCAN),
+            skip_args,
         ),
         min_size=1,
         max_size=8,
     )
 )
-def test_vector_scan_matches_bernoulli_pow2(scans):
-    seeds, pos, ts = (np.array(col, dtype=np.uint64) for col in zip(*scans))
-    advanced, used = stream_scan(seeds, pos, ts)
-    for i, (seed, p, t) in enumerate(scans):
+def test_vector_skip_matches_bernoulli_pow2(scans):
+    seeds = np.array([s for s, _, _ in scans], dtype=np.uint64)
+    pos = np.array([p for _, p, _ in scans], dtype=np.uint64)
+    sources = []
+    for seed, p, _ in scans:
         src = BitSource(seed)
         src.take_bits(p)
-        assert bool(advanced[i]) == src.bernoulli_pow2(t)
-        assert int(used[i]) == src.stream_position - p
+        sources.append(src)
+    _assert_skips([a for _, _, a in scans], seeds, pos, sources)
+
+
+windows = st.one_of(
+    st.just(0),
+    st.integers(0, 63).map(lambda b: 1 << b),
+    st.lists(st.integers(0, 63), max_size=4).map(lambda bs: sum({1 << b for b in bs})),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skips=st.lists(st.tuples(windows, skip_args), min_size=1, max_size=8))
+def test_vector_skip_on_sparse_windows(skips):
+    # zero and sparse windows, where long scans succeed and end anywhere
+    words = np.array([w for w, _ in skips], dtype=np.uint64)
+    # a scan that runs past the window ends on the padding's first bit
+    sources = [ScriptedBitSource(format(w, "064b") + "1") for w, _ in skips]
+    with mock.patch("fpcount.randbits.stream_window64", lambda seeds, pos: words):
+        _assert_skips([a for _, a in skips], words, words, sources)
+
+
+def test_exact_bit_helpers():
+    values = [0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1]
+    values += [1 << b for b in range(64)] + [(1 << b) - 1 for b in range(1, 65)]
+    x = np.array(values, dtype=np.uint64)
+    assert _bit_length64(x).tolist() == [v.bit_length() for v in values]
+    assert _popcount64(x).tolist() == [v.bit_count() for v in values]
 
 
 def _outcome(thunk):
@@ -267,38 +331,70 @@ def test_from_bytes_raises_only_value_error(blob):
     assert table.to_bytes() == blob
 
 
+def _increment_loop(params, seed, cps):
+    """(state, bits) at each checkpoint of the counters.increment loop."""
+    src, state, out = BitSource(seed), new_counter(), []
+    for m in range(1, cps[-1] + 1):
+        state = increment(state, params, src)
+        if m == cps[len(out)]:
+            out.append((state.k, src.stream_position))
+    return out
+
+
+scan_params = st.one_of(
+    st.just(CounterParams.morris()), st.integers(0, 8).map(CounterParams.fp)
+)
+
+
 @st.composite
-def engine_runs(draw):
-    params = draw(
-        st.one_of(
-            st.just(CounterParams.morris()),
-            st.integers(0, 6).map(CounterParams.fp),
-            st.integers(1, 32).map(CounterParams.qary),
-        )
-    )
-    n = draw(st.integers(1, 300))
+def engine_runs(
+    draw, params=st.one_of(scan_params, st.integers(1, 32).map(CounterParams.qary))
+):
+    params = draw(params)
+    # qary costs time per update, morris and fp per advance
+    top = 300 if params.family is Family.QARY else 3000
+    n = draw(st.one_of(st.integers(1, 300), st.integers(1, top)))
     cps = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=8)))
     seed = draw(st.integers(0, 2**64 - 1))
-    seeds = [child_seed(seed, i) for i in range(draw(st.integers(2, 4)))]
+    seeds = [child_seed(seed, i) for i in range(draw(st.integers(1, 4)))]
     return params, n, cps, seeds
+
+
+# the t = 0 prefix of fp(16) ends at DEFAULT_CEILING; fp(15) scans up to it
+CEILING_RUNS = [
+    (CounterParams.fp(16), 70000, [DEFAULT_CEILING - 1, DEFAULT_CEILING, 70000], [5]),
+    (CounterParams.fp(15), 70000, [40000, DEFAULT_CEILING + 1, 70000], [6]),
+]
 
 
 @settings(max_examples=100, deadline=None)
 @given(run=engine_runs())
+@example(run=CEILING_RUNS[0])
+@example(run=CEILING_RUNS[1])
 def test_engine_matches_scalar_loop(run):
     params, n, cps, seeds = run
     states, bits, estimates = simulate(
         params, n, np.array(seeds, dtype=np.uint64), cps
     )
     for i, seed in enumerate(seeds):
-        src, state, ci = BitSource(seed), new_counter(), 0
-        for m in range(1, cps[-1] + 1):
-            state = increment(state, params, src)
-            if m == cps[ci]:
-                assert int(states[ci, i]) == state.k
-                assert int(bits[ci, i]) == src.stream_position
-                assert estimates[ci, i] == estimate_float(params, state.k)
-                ci += 1
+        for ci, (k, used) in enumerate(_increment_loop(params, seed, cps)):
+            assert (int(states[ci, i]), int(bits[ci, i])) == (k, used)
+            assert estimates[ci, i] == estimate_float(params, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=engine_runs(scan_params))
+@example(run=CEILING_RUNS[0])
+@example(run=CEILING_RUNS[1])
+def test_scan_trajectory_matches_scalar_loop(run):
+    params, n, cps, seeds = run
+    for seed in seeds:
+        want = _increment_loop(params, seed, cps)
+        assert scan_trajectory(params, seed, cps) == want
+        points = run_trajectory(params, n, seed, cps)
+        assert [(p.n, p.k, p.estimate) for p in points] == [
+            (m, k, estimate_float(params, k)) for m, (k, _) in zip(cps, want)
+        ]
 
 
 @settings(max_examples=200, deadline=None)
