@@ -10,14 +10,20 @@ The bit-scan families (morris, fp) simulate advances, not updates.  At
 state k an update scans t = k >> d bits, so the updates between two
 advances are failed scans, and randbits skips over a run of them at
 once: :func:`simulate` runs rounds of ``stream_skip`` over one 64-bit
-window per replicate, and :func:`scan_trajectory` runs one seed through
-a ``SkipReader``.  Each replicate keeps its own update count and next
+window per replicate, and :func:`trajectory` runs one seed through a
+``SkipReader``.  Each replicate keeps its own update count and next
 checkpoint, and a run that reaches a checkpoint mid-wait stops there.
 The t = 0 states advance for certain and read no bits, so that prefix is
 applied at once.
 
-qary draws a 53-bit uniform per update and cannot skip: it runs one
-round per update for all replicates (``stream_uniform53``).
+qary compares a 53-bit uniform per update and cannot skip, but its draws
+do not depend on the state: a live counter's update m reads stream bits
+[53(m - 1), 53m), so all live replicates read at the same position.
+Both forms read the draws in chunks of about ``_DRAWS`` with
+``stream_uniforms53``, which mixes each block once.  :func:`simulate`
+makes each update one compare for all replicates against a table of
+q_k, grown chunk by chunk to the states the chunk can reach;
+:func:`trajectory` loops over one seed's draws as Python floats.
 
 Counters saturate at the scalar path's ``DEFAULT_CEILING``: once there
 they stay put and consume no bits.
@@ -33,9 +39,17 @@ import numpy as np
 
 from .chain import CounterParams, Family, estimate_float, transition_prob
 from .counters import DEFAULT_CEILING
-from .randbits import SkipReader, stream_skip, stream_uniform53
+from .randbits import (
+    _MASK64,
+    UNIFORM_BITS,
+    SkipReader,
+    stream_skip,
+    stream_uniforms53,
+)
 
-_U53 = np.uint64(53)
+# qary draws per chunk, over all replicates: each chunk array stays near
+# 128 KB, so memory is bounded for any n and replicate count
+_DRAWS = 1 << 14
 _CEILING = np.uint64(DEFAULT_CEILING)
 
 
@@ -56,7 +70,7 @@ def simulate(
     states = np.zeros((len(cps), seeds.size), dtype=np.uint64)
     bits = np.zeros_like(states)
     if cps and params.family is Family.QARY:
-        _qary_updates(params, n_max, seeds, cps, states, bits)
+        _qary_updates(params, seeds, cps, states, bits)
     elif cps:
         _scan_rounds(params, seeds, cps, states, bits)
     top = int(states.max(initial=0)) + 1
@@ -64,27 +78,36 @@ def simulate(
     return states, bits, table[states]
 
 
-def _qary_updates(params, n_max, seeds, cps, states, bits) -> None:
-    k = np.zeros(seeds.size, dtype=np.uint64)
-    pos = np.zeros(seeds.size, dtype=np.uint64)
-    # k <= min(m, DEFAULT_CEILING) after m updates
-    top = min(n_max, DEFAULT_CEILING) + 1
-    thresh = np.array(
-        [transition_prob(params, kk) for kk in range(top)], dtype=np.float64
-    )
-    ci = 0
-    for m in range(1, cps[-1] + 1):
-        step = stream_uniform53(seeds, pos) < thresh[k]
-        used = _U53
-        if m > DEFAULT_CEILING:
-            live = k < _CEILING
-            step &= live
-            used = np.where(live, used, 0)
-        pos += used
-        k += step.astype(np.uint64)
-        if m == cps[ci]:
-            states[ci], bits[ci] = k, pos
-            ci += 1
+def _qary_updates(params, seeds, cps, states, bits) -> None:
+    rows = max(1, _DRAWS // max(1, seeds.size))
+    k = np.zeros(seeds.size, dtype=np.intp)  # intp indexes thresh fastest
+    frozen = np.zeros_like(k)  # updates spent at the ceiling, which read no bits
+    thresh = np.zeros(0)
+    m = ci = 0
+    while m < cps[-1]:
+        count = min(rows, cps[-1] - m)
+        thresh = _thresholds(params, thresh, int(k.max(initial=0)) + count)
+        for u in stream_uniforms53(seeds, UNIFORM_BITS * m, count):
+            if m >= DEFAULT_CEILING:
+                frozen += k == DEFAULT_CEILING
+            k += u < thresh[k]
+            m += 1
+            if m == cps[ci]:
+                states[ci], bits[ci] = k, (m - frozen) * UNIFORM_BITS
+                ci += 1
+
+
+def _thresholds(params, table: np.ndarray, top: int) -> np.ndarray:
+    """`table` grown to the q_k of states 0 .. min(top, DEFAULT_CEILING).
+
+    The ceiling state's entry is 0, so a saturated counter never advances.
+    """
+    top = min(top, DEFAULT_CEILING)
+    new = [
+        0.0 if kk == DEFAULT_CEILING else transition_prob(params, kk)
+        for kk in range(table.size, top + 1)
+    ]
+    return np.concatenate([table, new]) if new else table
 
 
 def _scan_start(params: CounterParams) -> int:
@@ -141,14 +164,45 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
         nxt = cp_array[cpi]
 
 
-def scan_trajectory(
+def trajectory(
     params: CounterParams, seed: int, checkpoints: list[int]
 ) -> list[tuple[int, int]]:
-    """(state, bits consumed) of one morris or fp counter at each checkpoint.
+    """(state, bits consumed) of one counter at each checkpoint.
 
-    The scalar form of the scan rounds in :func:`simulate`: the counter
-    fed by ``BitSource(seed)``, skipped from advance to advance.
+    The scalar form of :func:`simulate`: the counter fed by
+    ``BitSource(seed)``, with morris and fp skipped from advance to
+    advance and qary compared against one bulk-read draw per update.
     """
+    if params.family is Family.QARY:
+        return _qary_trajectory(params, seed, checkpoints)
+    return _scan_trajectory(params, seed, checkpoints)
+
+
+def _qary_trajectory(params, seed, cps) -> list[tuple[int, int]]:
+    # the scalar form of _qary_updates, on one seed's draws as floats
+    seeds = np.array([seed & _MASK64], dtype=np.uint64)
+    k = m = ci = 0
+    q = transition_prob(params, 0)
+    out = []
+    end = cps[-1] if cps else 0
+    while m < end and k < DEFAULT_CEILING:
+        draws = stream_uniforms53(seeds, UNIFORM_BITS * m, min(_DRAWS, end - m))
+        for u in draws[:, 0].tolist():
+            m += 1
+            if u < q:
+                k += 1
+                if k == DEFAULT_CEILING:
+                    break
+                q = transition_prob(params, k)
+            if m == cps[ci]:
+                out.append((k, UNIFORM_BITS * m))
+                ci += 1
+    # a saturated counter keeps its state and bits to the end
+    return out + [(k, UNIFORM_BITS * m)] * (len(cps) - ci)
+
+
+def _scan_trajectory(params, seed, checkpoints) -> list[tuple[int, int]]:
+    # the scalar form of _scan_rounds, through a SkipReader
     reader = SkipReader(seed)
     start = _scan_start(params)
     k = m = 0

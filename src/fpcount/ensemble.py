@@ -19,9 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _engine
-from .chain import CounterParams, Family, estimate_float
-from .counters import increment, new_counter
-from .randbits import BitSource, child_seed
+from .chain import CounterParams, estimate_float
+from .randbits import child_seed
+
+# Nothing here calls these; they stay ensemble attributes because the
+# benchmark's tracer (bench/fpbench/tracer.py) wraps them by name.
+from .counters import increment
+from .randbits import BitSource
 
 __all__ = [
     "CheckpointStats",
@@ -83,23 +87,14 @@ def run_trajectory(
     """Simulate one counter for n_max updates, sampling at checkpoints.
 
     Deterministic given the seed; updates after the last checkpoint
-    cannot be observed and are skipped.  morris and fp counters skip
-    from advance to advance (``_engine.scan_trajectory``); qary loops
-    :func:`fpcount.counters.increment`.
+    cannot be observed and are skipped.  The states come from
+    ``_engine.trajectory``, which consumes the stream exactly as a loop of
+    :func:`fpcount.counters.increment` on ``BitSource(seed)`` would.
     """
     cps = _validated_checkpoints(checkpoints, n_max)
     if not cps:
         return []
-    if params.family is Family.QARY:
-        src = BitSource(seed)
-        state = new_counter()
-        ks = []
-        for m in range(1, cps[-1] + 1):
-            state = increment(state, params, src)
-            if m == cps[len(ks)]:
-                ks.append(state.k)
-    else:
-        ks = [k for k, _ in _engine.scan_trajectory(params, seed, cps)]
+    ks = [k for k, _ in _engine.trajectory(params, seed, cps)]
     out: list[TrajectoryPoint] = []
     for m, k in zip(cps, ks):
         est = estimate_float(params, k)

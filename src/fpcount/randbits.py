@@ -9,13 +9,14 @@ and bits are delivered most-significant-bit first within each block, so
 stream bit ``pos`` is bit ``63 - (pos & 63)`` of block ``pos >> 6``.
 This module alone computes blocks, and alone decides how many bits a
 scan or a uniform draw consumes, in every form: :class:`BitSource` reads
-one seed's stream in order, :func:`stream_uniform53` (over
-:func:`stream_window64`) reads many seeds at once, at any positions,
-with vectorized uint64 arithmetic, and the skip runs whole stretches of
-``bernoulli_pow2`` scans at once, in vector form (:func:`stream_skip`,
-one 64-bit window per seed) and in scalar form (:class:`SkipReader`, a
-span of blocks held as one int).  Blocks are computed from (seed, j)
-directly, so a reader's state is its position.
+one seed's stream in order, :func:`stream_window64` reads many seeds at
+once, at any positions, with vectorized uint64 arithmetic,
+:func:`stream_uniforms53` reads runs of uniform draws for many seeds
+from one position, mixing each block once, and the skip runs whole
+stretches of ``bernoulli_pow2`` scans at once, in vector form
+(:func:`stream_skip`, one 64-bit window per seed) and in scalar form
+(:class:`SkipReader`, a span of blocks held as one int).  Blocks are
+computed from (seed, j) directly, so a reader's state is its position.
 
 Every consumer counts consumed bits exactly (``stream_position``), so
 identical call sequences from identical seeds replay bit-for-bit and
@@ -36,7 +37,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_U53 = 2.0**-53
+UNIFORM_BITS = 53  # the bits a uniform draw consumes
+_U53 = 2.0**-UNIFORM_BITS
 MAX_SCAN = 64  # the longest scan one 64-bit window holds
 _SPAN_BLOCKS = 1 << 16  # the most blocks a SkipReader span holds
 
@@ -92,9 +94,34 @@ def stream_window64(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return (hi << off) | ((lo >> _V1) >> (_V63 - off))
 
 
-def stream_uniform53(seeds: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The ``next_uniform53`` draw at bit `pos` of each seed's stream."""
-    return (stream_window64(seeds, pos) >> _V11).astype(np.float64) * _U53
+def stream_uniforms53(seeds: np.ndarray, pos: int, count: int) -> np.ndarray:
+    """`count` successive ``next_uniform53`` draws from bit `pos` of each stream.
+
+    Returns a (count, seeds.size) array: row i holds the draws at bit
+    pos + 53 * i.  Requires count >= 1.  Each block the draws touch is
+    mixed once, and draw i is bits off .. off + 52 of the block pair it
+    starts in.  A zero row stands past the last block; only a draw that
+    ends inside its first block reads it, and those bits fall below the
+    draw.
+    """
+    start = pos + UNIFORM_BITS * np.arange(count, dtype=np.int64)
+    first = pos >> 6
+    last = (int(start[-1]) + UNIFORM_BITS - 1) >> 6
+    j = np.arange(first + 1, last + 2, dtype=np.uint64)  # blocks first .. last
+    blocks = np.zeros((j.size + 1, seeds.size), dtype=np.uint64)
+    blocks[:-1] = _mix64_vec(seeds + j[:, None] * _V_GOLDEN)
+    row = (start >> 6) - first
+    off = (start & 63).astype(np.uint64)[:, None]
+    lo = blocks[row + 1]
+    lo >>= _V1  # (lo >> 1) >> (63 - off) == lo >> (64 - off), as in stream_window64
+    lo >>= _V63 - off
+    w = blocks[row]
+    w <<= off
+    w |= lo
+    w >>= _V11
+    out = w.astype(np.float64)
+    out *= _U53
+    return out
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -279,7 +306,7 @@ class BitStream:
 
     def next_uniform53(self) -> float:
         """Uniform dyadic rational in [0, 1) with 53 fractional bits."""
-        return self.take_bits(53) * _U53
+        return self.take_bits(UNIFORM_BITS) * _U53
 
     def bernoulli_pow2(self, t: int) -> bool:
         """True with probability exactly 2**-t.

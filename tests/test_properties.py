@@ -4,9 +4,11 @@
   over a script of the same blocks' bits are its reference, for every
   reader method.  Blocks are drawn sparse and all-zero as well as
   random, so scans of t >= 64 succeed and cross block boundaries.
-* ``stream_window64`` and ``stream_uniform53`` read many seeds at
-  arbitrary positions; the stream's definition (``stream_block``, bits
-  MSB-first) and ``BitSource`` are their references.
+* ``stream_window64`` reads many seeds at arbitrary positions; the
+  stream's definition (``stream_block``, bits MSB-first) is its
+  reference.  ``stream_uniforms53`` reads runs of 53-bit draws for many
+  seeds from one position; successive ``BitSource.next_uniform53``
+  calls are its reference.
 * ``stream_skip`` runs ``bernoulli_pow2`` scans within one 64-bit
   window for many seeds; a loop of the scalar scan on a ``BitSource`` at
   the same position, or on a script of the window's bits, is its
@@ -17,11 +19,12 @@
   the documented snapshot layout, is its reference.
 * ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
   with ValueError.
-* ``_engine.simulate`` runs replicates side by side, and morris and fp
-  counters skip from advance to advance, in vector form there and in
-  scalar form in ``_engine.scan_trajectory``; the ``counters.increment``
-  loop over each replicate's stream is the reference of each form on
-  its own, for states, consumed bits and estimates.
+* ``_engine.simulate`` runs replicates side by side, morris and fp
+  counters skipping from advance to advance and qary counters comparing
+  bulk-read draws, in vector form there and in scalar form in
+  ``_engine.trajectory``; the ``counters.increment`` loop over each
+  replicate's stream is the reference of each form on its own, for
+  states, consumed bits and estimates.
 * The qary closed forms ``estimate`` and ``variance_fn`` round an
   exponent of size k/r; 50-digit ``decimal`` values are their reference.
 """
@@ -46,8 +49,8 @@ from fpcount import (
     run_trajectory,
     variance_fn,
 )
-from fpcount._engine import scan_trajectory, simulate
-from fpcount.chain import CounterRangeError, Family
+from fpcount._engine import simulate, trajectory
+from fpcount.chain import CounterRangeError
 from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import (
     MAX_SCAN,
@@ -59,7 +62,7 @@ from fpcount.randbits import (
     child_seed,
     stream_block,
     stream_skip,
-    stream_uniform53,
+    stream_uniforms53,
     stream_window64,
 )
 
@@ -135,15 +138,30 @@ def test_vector_reader_matches_stream_definition(reads):
     seeds = np.array([s for s, _ in reads], dtype=np.uint64)
     pos = np.array([p for _, p in reads], dtype=np.uint64)
     windows = stream_window64(seeds, pos)
-    uniforms = stream_uniform53(seeds, pos)
     for i, (seed, p) in enumerate(reads):
         j, off = p >> 6, p & 63
         pair = (stream_block(seed, j) << 64) | stream_block(seed, j + 1)
         assert int(windows[i]) == ((pair << off) >> 64) & (2**64 - 1)
-        if p <= 4096:
-            src = BitSource(seed)
-            src.take_bits(p)
-            assert uniforms[i] == src.next_uniform53()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    pos=st.one_of(
+        st.integers(0, 64 * 64 - 1).map(lambda p: p & ~63),  # a block start
+        st.integers(0, 64 * 64 - 1).map(lambda p: p | 63),  # a block end
+        st.integers(0, 4096),
+    ),
+    # 53 and 64 are coprime, so 64 draws start at every offset in a block
+    count=st.one_of(st.integers(1, 3), st.integers(1, 130)),
+)
+def test_bulk_uniforms_match_next_uniform53(seeds, pos, count):
+    draws = stream_uniforms53(np.array(seeds, dtype=np.uint64), pos, count)
+    assert draws.shape == (count, len(seeds))
+    for i, seed in enumerate(seeds):
+        src = BitSource(seed)
+        src.take_bits(pos)
+        assert draws[:, i].tolist() == [src.next_uniform53() for _ in range(count)]
 
 
 def _window_scans(src, t, limit):
@@ -351,19 +369,20 @@ def engine_runs(
     draw, params=st.one_of(scan_params, st.integers(1, 32).map(CounterParams.qary))
 ):
     params = draw(params)
-    # qary costs time per update, morris and fp per advance
-    top = 300 if params.family is Family.QARY else 3000
-    n = draw(st.one_of(st.integers(1, 300), st.integers(1, top)))
+    n = draw(st.one_of(st.integers(1, 300), st.integers(1, 3000)))
     cps = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=8)))
     seed = draw(st.integers(0, 2**64 - 1))
     seeds = [child_seed(seed, i) for i in range(draw(st.integers(1, 4)))]
     return params, n, cps, seeds
 
 
-# the t = 0 prefix of fp(16) ends at DEFAULT_CEILING; fp(15) scans up to it
+# the t = 0 prefix of fp(16) ends at DEFAULT_CEILING; fp(15) scans up to
+# it; qary(2**20) advances on most updates and saturates between 66000
+# and 68000 on this stream
 CEILING_RUNS = [
     (CounterParams.fp(16), 70000, [DEFAULT_CEILING - 1, DEFAULT_CEILING, 70000], [5]),
     (CounterParams.fp(15), 70000, [40000, DEFAULT_CEILING + 1, 70000], [6]),
+    (CounterParams.qary(2**20), 70000, [66000, 68000, 70000], [7]),
 ]
 
 
@@ -371,6 +390,7 @@ CEILING_RUNS = [
 @given(run=engine_runs())
 @example(run=CEILING_RUNS[0])
 @example(run=CEILING_RUNS[1])
+@example(run=CEILING_RUNS[2])
 def test_engine_matches_scalar_loop(run):
     params, n, cps, seeds = run
     states, bits, estimates = simulate(
@@ -383,14 +403,15 @@ def test_engine_matches_scalar_loop(run):
 
 
 @settings(max_examples=100, deadline=None)
-@given(run=engine_runs(scan_params))
+@given(run=engine_runs())
 @example(run=CEILING_RUNS[0])
 @example(run=CEILING_RUNS[1])
-def test_scan_trajectory_matches_scalar_loop(run):
+@example(run=CEILING_RUNS[2])
+def test_trajectory_matches_scalar_loop(run):
     params, n, cps, seeds = run
     for seed in seeds:
         want = _increment_loop(params, seed, cps)
-        assert scan_trajectory(params, seed, cps) == want
+        assert trajectory(params, seed, cps) == want
         points = run_trajectory(params, n, seed, cps)
         assert [(p.n, p.k, p.estimate) for p in points] == [
             (m, k, estimate_float(params, k)) for m, (k, _) in zip(cps, want)
