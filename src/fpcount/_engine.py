@@ -10,8 +10,8 @@ The bit-scan families (morris, fp) simulate advances, not updates.  At
 state k an update scans t = k >> d bits, so the updates between two
 advances are failed scans, and randbits skips over a run of them at
 once: :func:`simulate` runs rounds of ``stream_skip`` over one 64-bit
-window per replicate, and :func:`trajectory` runs one seed through a
-``SkipReader``.  Each replicate keeps its own update count and next
+window per replicate, and :func:`trajectory` runs one seed through
+``BitSource.skip``.  Each replicate keeps its own update count and next
 checkpoint, and a run that reaches a checkpoint mid-wait stops there.
 The t = 0 states advance for certain and read no bits, so that prefix is
 applied at once.
@@ -39,13 +39,7 @@ import numpy as np
 
 from .chain import CounterParams, Family, estimate_float, transition_prob
 from .counters import DEFAULT_CEILING
-from .randbits import (
-    _MASK64,
-    UNIFORM_BITS,
-    SkipReader,
-    stream_skip,
-    stream_uniforms53,
-)
+from .randbits import _MASK64, UNIFORM_BITS, BitSource, stream_skip, stream_uniforms53
 
 # qary draws per chunk, over all replicates: each chunk array stays near
 # 128 KB, so memory is bounded for any n and replicate count
@@ -202,8 +196,8 @@ def _qary_trajectory(params, seed, cps) -> list[tuple[int, int]]:
 
 
 def _scan_trajectory(params, seed, checkpoints) -> list[tuple[int, int]]:
-    # the scalar form of _scan_rounds, through a SkipReader
-    reader = SkipReader(seed)
+    # the scalar form of _scan_rounds, through BitSource.skip
+    reader = BitSource(seed)
     start = _scan_start(params)
     k = m = 0
     out = []

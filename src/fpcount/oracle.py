@@ -68,7 +68,6 @@ __all__ = [
     "accuracy",
     "expected_bits",
     "expected_estimate",
-    "expected_variance_fn",
     "estimator_variance",
     "step_distribution",
     "sweep_moments",
@@ -232,11 +231,6 @@ def expected_estimate(dist: StepDistribution, params: CounterParams):
 def estimator_variance(dist: StepDistribution, params: CounterParams):
     """Variance of the count estimate under `dist`."""
     return _dist_moments(dist, params).variance
-
-
-def expected_variance_fn(dist: StepDistribution, params: CounterParams):
-    """Expectation of the per-state variance function; equals the variance."""
-    return _dist_moments(dist, params).mean_variance_fn
 
 
 def accuracy(dist: StepDistribution, params: CounterParams) -> float:

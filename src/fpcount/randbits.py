@@ -15,18 +15,19 @@ once, at any positions, with vectorized uint64 arithmetic,
 from one position, mixing each block once, and the skip runs whole
 stretches of ``bernoulli_pow2`` scans at once, in vector form
 (:func:`stream_skip`, one 64-bit window per seed) and in scalar form
-(:class:`SkipReader`, a span of blocks held as one int).  Blocks are
-computed from (seed, j) directly, so a reader's state is its position.
+(:meth:`BitSource.skip`).  Blocks are computed from (seed, j) directly,
+so a reader's state is its position.
 
 Every consumer counts consumed bits exactly (``stream_position``), so
 identical call sequences from identical seeds replay bit-for-bit and
 bit budgets can be audited.
 
-:class:`BitSource` reads whole spans of its buffered block at once:
-``take_bits`` and the ``bernoulli_pow2`` scan each take a span with one
-shift and mask instead of one ``next_bit`` call per bit, and a nonzero
-scan span is consumed through its first 1, so the scan consumes exactly
-the bits the bit-by-bit loop of :class:`BitStream` would.
+:class:`BitSource` buffers a span of whole blocks as one int, and its
+readers take runs of it at once: ``take_bits`` and the ``bernoulli_pow2``
+scan each take a run with one shift and mask instead of one ``next_bit``
+call per bit, a nonzero scan run is consumed through its first 1, and
+``skip`` runs many scans over the span, so each consumes exactly the bits
+the bit-by-bit loops of :class:`BitStream` would.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _MIX2 = 0x94D049BB133111EB
 UNIFORM_BITS = 53  # the bits a uniform draw consumes
 _U53 = 2.0**-UNIFORM_BITS
 MAX_SCAN = 64  # the longest scan one 64-bit window holds
-_SPAN_BLOCKS = 1 << 16  # the most blocks a SkipReader span holds
+_SPAN_BLOCKS = 1 << 16  # the most blocks a BitSource.skip span holds
 
 # uint64 images for the vectorized reader, made once so that no array
 # operation has to convert a Python int
@@ -211,14 +212,64 @@ def _after_ones(x: int, n: int, r: int) -> int:
     return hi
 
 
-class SkipReader:
-    """One seed's stream read as runs of ``bernoulli_pow2`` scans.
+def child_seed(seed: int, index: int) -> int:
+    """Derived seed for replicate `index` of an ensemble run.
 
-    The scalar form of :func:`stream_skip`: :meth:`skip` does what a
-    run of ``bernoulli_pow2`` calls on a :class:`BitSource` at the same
-    position would do, on a span of whole blocks held as one int.  Spans
-    are sized to the scan, about four times its mean wait, and made
-    with the vectorized block generator.
+    Defined as mix64(stream_block(seed, index)); the second mixing round
+    keeps child streams distinct from the parent's own bit blocks.  The
+    mapping is fixed: ensemble reports depend on it byte-for-byte.
+    """
+    if index < 0:
+        raise ValueError("replicate index must be nonnegative")
+    return mix64(stream_block(seed, index))
+
+
+class BitStream:
+    """A source of unbiased random bits with exact accounting.
+
+    Subclasses provide :meth:`next_bit`; the samplers here derive from
+    it bit by bit.  :class:`BitSource` overrides them with word-at-a-time
+    forms, so on a scripted stream these loops are the reference that
+    tests pin those forms against, not shared code.
+    """
+
+    stream_position: int
+
+    def next_bit(self) -> int:
+        raise NotImplementedError
+
+    def take_bits(self, count: int) -> int:
+        """Consume `count` bits and pack them into an int, first bit highest."""
+        out = 0
+        for _ in range(count):
+            out = (out << 1) | self.next_bit()
+        return out
+
+    def next_uniform53(self) -> float:
+        """Uniform dyadic rational in [0, 1) with 53 fractional bits."""
+        return self.take_bits(UNIFORM_BITS) * _U53
+
+    def bernoulli_pow2(self, t: int) -> bool:
+        """True with probability exactly 2**-t.
+
+        Scans at most t bits, stopping at the first 1; succeeds iff all
+        t bits are 0.  Consumes no bits when t = 0 (certain success),
+        otherwise between 1 and t bits.
+        """
+        for _ in range(t):
+            if self.next_bit():
+                return False
+        return True
+
+
+class BitSource(BitStream):
+    """Deterministic bit stream over the canonical splitmix64 blocks.
+
+    The unread bits of the buffered span are the low
+    ``_end - stream_position`` bits of ``_span``, a run of whole blocks
+    ending at the block boundary ``_end``.  ``take_bits`` and
+    ``bernoulli_pow2`` refill an empty span with block
+    ``stream_position >> 6``; :meth:`skip` sizes its spans to the scan.
     """
 
     __slots__ = ("seed", "stream_position", "_span", "_end")
@@ -229,11 +280,52 @@ class SkipReader:
         self._span = 0  # stream bits up to _end, first bit highest
         self._end = 0
 
+    def next_bit(self) -> int:
+        return self.take_bits(1)
+
+    def take_bits(self, count: int) -> int:
+        out = 0
+        pos = self.stream_position
+        span, end = self._span, self._end
+        while count:
+            avail = end - pos
+            if not avail:
+                self._span = span = stream_block(self.seed, pos >> 6)
+                self._end = end = pos + 64
+                avail = 64
+            grab = count if count < avail else avail
+            out = (out << grab) | ((span >> (avail - grab)) & ((1 << grab) - 1))
+            pos += grab
+            count -= grab
+        self.stream_position = pos
+        return out
+
+    def bernoulli_pow2(self, t: int) -> bool:
+        pos = self.stream_position
+        span, end = self._span, self._end
+        while t:
+            avail = end - pos
+            if not avail:
+                self._span = span = stream_block(self.seed, pos >> 6)
+                self._end = end = pos + 64
+                avail = 64
+            grab = t if t < avail else avail
+            chunk = (span >> (avail - grab)) & ((1 << grab) - 1)
+            pos += grab
+            if chunk:
+                # the first 1 sits chunk.bit_length() bits from the span's end
+                self.stream_position = pos - chunk.bit_length() + 1
+                return False
+            t -= grab
+        self.stream_position = pos
+        return True
+
     def skip(self, t: int, limit: int) -> tuple[bool, int]:
         """Up to `limit` ``bernoulli_pow2(t)`` scans, stopping after a success.
 
         Returns (advanced, scans): whether the last scan succeeded and
-        how many ran.  Requires t >= 1 and limit >= 1.
+        how many ran.  Requires t >= 1 and limit >= 1.  The scalar form of
+        :func:`stream_skip`, over spans of about four mean waits.
         """
         scans = 0
         while True:
@@ -270,112 +362,6 @@ class SkipReader:
         blocks = _mix64_vec(np.uint64(self.seed) + j * _V_GOLDEN)
         self._span = int.from_bytes(blocks.astype(">u8").tobytes(), "big")
         self._end = (first + count) << 6
-
-
-def child_seed(seed: int, index: int) -> int:
-    """Derived seed for replicate `index` of an ensemble run.
-
-    Defined as mix64(stream_block(seed, index)); the second mixing round
-    keeps child streams distinct from the parent's own bit blocks.  The
-    mapping is fixed: ensemble reports depend on it byte-for-byte.
-    """
-    if index < 0:
-        raise ValueError("replicate index must be nonnegative")
-    return mix64(stream_block(seed, index))
-
-
-class BitStream:
-    """A source of unbiased random bits with exact accounting.
-
-    Subclasses provide :meth:`next_bit`; the derived samplers here are
-    shared so that scripted test streams exercise the very same
-    consumption logic as the production source.
-    """
-
-    stream_position: int
-
-    def next_bit(self) -> int:
-        raise NotImplementedError
-
-    def take_bits(self, count: int) -> int:
-        """Consume `count` bits and pack them into an int, first bit highest."""
-        out = 0
-        for _ in range(count):
-            out = (out << 1) | self.next_bit()
-        return out
-
-    def next_uniform53(self) -> float:
-        """Uniform dyadic rational in [0, 1) with 53 fractional bits."""
-        return self.take_bits(UNIFORM_BITS) * _U53
-
-    def bernoulli_pow2(self, t: int) -> bool:
-        """True with probability exactly 2**-t.
-
-        Scans at most t bits, stopping at the first 1; succeeds iff all
-        t bits are 0.  Consumes no bits when t = 0 (certain success),
-        otherwise between 1 and t bits.
-        """
-        for _ in range(t):
-            if self.next_bit():
-                return False
-        return True
-
-
-class BitSource(BitStream):
-    """Deterministic bit stream over the canonical splitmix64 blocks.
-
-    ``stream_position`` is the whole state: the bits left in the buffered
-    block are ``-stream_position & 63``, and when none are left the next
-    read loads block ``stream_position >> 6``.
-    """
-
-    __slots__ = ("seed", "stream_position", "_buffer")
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self.stream_position = 0
-        self._buffer = 0
-
-    def next_bit(self) -> int:
-        return self.take_bits(1)
-
-    def take_bits(self, count: int) -> int:
-        out = 0
-        pos = self.stream_position
-        buf = self._buffer
-        while count:
-            avail = -pos & 63
-            if not avail:
-                buf = stream_block(self.seed, pos >> 6)
-                avail = 64
-            grab = count if count < avail else avail
-            out = (out << grab) | ((buf >> (avail - grab)) & ((1 << grab) - 1))
-            pos += grab
-            count -= grab
-        self._buffer = buf
-        self.stream_position = pos
-        return out
-
-    def bernoulli_pow2(self, t: int) -> bool:
-        pos = self.stream_position
-        buf = self._buffer
-        while t:
-            avail = -pos & 63
-            if not avail:
-                buf = stream_block(self.seed, pos >> 6)
-                avail = 64
-            grab = t if t < avail else avail
-            chunk = (buf >> (avail - grab)) & ((1 << grab) - 1)
-            pos += grab
-            if chunk:
-                # the first 1 sits chunk.bit_length() bits from the span's end
-                self._buffer = buf
-                self.stream_position = pos - chunk.bit_length() + 1
-                return False
-            t -= grab
-        self._buffer = buf
-        self.stream_position = pos
-        return True
 
 
 class ScriptedBitSource(BitStream):

@@ -24,14 +24,13 @@ from fpcount import (
     estimate_float,
     expected_bits,
     expected_estimate,
-    expected_variance_fn,
     estimator_variance,
     step_distribution,
     sweep_moments,
     transition_prob,
     variance_fn,
 )
-from fpcount.oracle import _FLOAT_FLOOR, _windows
+from fpcount.oracle import _FLOAT_FLOOR, _dist_moments, _windows
 
 MORRIS = CounterParams.morris()
 FP1 = CounterParams.fp(1)
@@ -140,8 +139,9 @@ class TestMoments:
         for n in (1, 2, 3, 10, 33):
             dist = step_distribution(params, n, MODE_EXACT)
             assert expected_estimate(dist, params) == n
-            assert estimator_variance(dist, params) == expected_variance_fn(
-                dist, params
+            assert (
+                estimator_variance(dist, params)
+                == _dist_moments(dist, params).mean_variance_fn
             )
 
     def test_morris_variance_pins(self):
@@ -178,7 +178,7 @@ class TestSweepMoments:
             dist = step_distribution(params, rec.n, MODE_EXACT)
             assert rec.mean == expected_estimate(dist, params)
             assert rec.variance == estimator_variance(dist, params)
-            assert rec.mean_variance_fn == expected_variance_fn(dist, params)
+            assert rec.mean_variance_fn == _dist_moments(dist, params).mean_variance_fn
 
     def test_float_sweep_matches_single_shots(self):
         # one summation rule serves both paths, so they agree to the bit
@@ -188,7 +188,7 @@ class TestSweepMoments:
             dist = step_distribution(FP4, rec.n, MODE_FLOAT)
             assert rec.mean == expected_estimate(dist, FP4)
             assert rec.variance == estimator_variance(dist, FP4)
-            assert rec.mean_variance_fn == expected_variance_fn(dist, FP4)
+            assert rec.mean_variance_fn == _dist_moments(dist, FP4).mean_variance_fn
             assert rec.accuracy == accuracy(dist, FP4)
 
     def test_checkpoint_handling(self):

@@ -32,7 +32,6 @@ PUBLIC = {
     "estimator_variance",
     "expected_bits",
     "expected_estimate",
-    "expected_variance_fn",
     "increment",
     "linear_checkpoints",
     "log_checkpoints",

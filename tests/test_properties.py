@@ -4,6 +4,8 @@
   over a script of the same blocks' bits are its reference, for every
   reader method.  Blocks are drawn sparse and all-zero as well as
   random, so scans of t >= 64 succeed and cross block boundaries.
+  ``BitSource.skip``, interleaved with the word reads on one reader, is
+  pinned to a loop of the scripted scans.
 * ``stream_window64`` reads many seeds at arbitrary positions; the
   stream's definition (``stream_block``, bits MSB-first) is its
   reference.  ``stream_uniforms53`` reads runs of 53-bit draws for many
@@ -116,6 +118,49 @@ def test_word_scan_matches_bit_loop_on_canonical_stream(seed, ts):
     for t in ts:
         assert fast.bernoulli_pow2(t) == BitStream.bernoulli_pow2(ref, t)
         assert fast.stream_position == ref.stream_position
+
+
+mixed_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("skip"),
+            st.one_of(st.integers(1, 8), st.integers(1, 70)),
+            st.one_of(st.integers(1, 4), st.integers(1, 40)),
+        ),
+        st.tuples(st.just("scan"), st.integers(0, 140), st.just(0)),
+        st.tuples(st.just("take"), st.integers(0, 140), st.just(0)),
+    ),
+    max_size=20,
+)
+
+
+def _skip_by_scans(src, t, limit):
+    for scans in range(1, limit + 1):
+        if src.bernoulli_pow2(t):
+            return True, scans
+    return False, limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), ops=mixed_ops)
+def test_skip_interleaves_with_word_reads(seed, ops):
+    # one reader's span serves all three reads: skips start inside a block
+    # that take_bits or a scan loaded, and word reads start inside a span
+    # that skip loaded; a skip of failed scans reads at most t bits a scan
+    bound = sum(t * (limit or 1) for _, t, limit in ops) + 64
+    ref = ScriptedBitSource(
+        "".join(format(stream_block(seed, j), "064b") for j in range(bound // 64 + 1))
+    )
+    fast = BitSource(seed)
+    for op, t, limit in ops:
+        if op == "skip":
+            assert fast.skip(t, limit) == _skip_by_scans(ref, t, limit)
+        elif op == "scan":
+            assert fast.bernoulli_pow2(t) == ref.bernoulli_pow2(t)
+        else:
+            assert fast.take_bits(t) == ref.take_bits(t)
+        assert fast.stream_position == ref.stream_position
+    assert fast.take_bits(64) == ref.take_bits(64)
 
 
 @settings(max_examples=200, deadline=None)
