@@ -268,8 +268,9 @@ class BitSource(BitStream):
     The unread bits of the buffered span are the low
     ``_end - stream_position`` bits of ``_span``, a run of whole blocks
     ending at the block boundary ``_end``.  ``take_bits`` and
-    ``bernoulli_pow2`` refill an empty span with block
-    ``stream_position >> 6``; :meth:`skip` sizes its spans to the scan.
+    ``bernoulli_pow2`` read at most one block's worth of span: an empty
+    span, or a longer one left by :meth:`skip`, is replaced by block
+    ``stream_position >> 6``.  :meth:`skip` sizes its spans to the scan.
     """
 
     __slots__ = ("seed", "stream_position", "_span", "_end")
@@ -289,10 +290,11 @@ class BitSource(BitStream):
         span, end = self._span, self._end
         while count:
             avail = end - pos
-            if not avail:
+            if avail - 1 >> 6:
+                # empty, or a multi-block span left by skip: load one block
                 self._span = span = stream_block(self.seed, pos >> 6)
-                self._end = end = pos + 64
-                avail = 64
+                self._end = end = (pos | 63) + 1
+                avail = end - pos
             grab = count if count < avail else avail
             out = (out << grab) | ((span >> (avail - grab)) & ((1 << grab) - 1))
             pos += grab
@@ -305,10 +307,11 @@ class BitSource(BitStream):
         span, end = self._span, self._end
         while t:
             avail = end - pos
-            if not avail:
+            if avail - 1 >> 6:
+                # empty, or a multi-block span left by skip: load one block
                 self._span = span = stream_block(self.seed, pos >> 6)
-                self._end = end = pos + 64
-                avail = 64
+                self._end = end = (pos | 63) + 1
+                avail = end - pos
             grab = t if t < avail else avail
             chunk = (span >> (avail - grab)) & ((1 << grab) - 1)
             pos += grab

@@ -5,7 +5,8 @@ Many small counters packed back to back: slot i occupies bits
 bit first, and bit b of the payload lives in byte b >> 3 at in-byte
 position b & 7.  Slots freely straddle byte boundaries; width 8 with a
 4-bit significand is enough to count past 5 * 10**5 per slot at one
-byte per counter.
+byte per counter.  A width-8 table holds slot i in byte i and indexes
+it directly, with the same snapshot bytes as the general layout.
 
 A slot whose value reaches 2**width - 1 is saturated: it is counted
 once in ``saturation_count``, further increments leave it unchanged,
@@ -74,6 +75,7 @@ class CounterTable:
         self.width = width
         self.saturation_count = 0
         self._max_value = (1 << width) - 1
+        self._byte_slots = width == 8
         self._data = bytearray(payload_bytes)
 
     @property
@@ -83,6 +85,8 @@ class CounterTable:
     def get_state(self, index: int) -> int:
         if not 0 <= index < self.num_slots:
             raise IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
+        if self._byte_slots:
+            return self._data[index]
         bitpos = index * self.width
         start = bitpos >> 3
         end = (bitpos + self.width + 7) >> 3
@@ -100,19 +104,26 @@ class CounterTable:
         if not 0 <= index < self.num_slots:
             raise IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
         data = self._data
-        bitpos = index * self.width
-        start = bitpos >> 3
-        end = (bitpos + self.width + 7) >> 3
-        shift = bitpos & 7
-        word = int.from_bytes(data[start:end], "little")
         top = self._max_value
-        k = (word >> shift) & top
+        byte_slots = self._byte_slots
+        if byte_slots:
+            k = data[index]
+        else:
+            bitpos = index * self.width
+            start = bitpos >> 3
+            end = (bitpos + self.width + 7) >> 3
+            shift = bitpos & 7
+            word = int.from_bytes(data[start:end], "little")
+            k = (word >> shift) & top
         if k == top:
             return k
         t = k >> self.d
         if t and not src.bernoulli_pow2(t):
             return k
-        data[start:end] = (word + (1 << shift)).to_bytes(end - start, "little")
+        if byte_slots:
+            data[index] = k + 1
+        else:
+            data[start:end] = (word + (1 << shift)).to_bytes(end - start, "little")
         k += 1
         if k == top:
             self.saturation_count += 1

@@ -16,9 +16,10 @@
   the same position, or on a script of the window's bits, is its
   reference, for the outcome, the scans and the bits consumed.  The
   exact bit helpers under it are pinned to Python's int methods.
-* ``CounterTable.increment`` updates a packed slot in one pass; a
-  replay through ``counters.increment`` with the slot's ceiling, plus
-  the documented snapshot layout, is its reference.
+* ``CounterTable.increment`` updates a packed slot in one pass, and a
+  width-8 slot (drawn in half the runs) as one byte; a replay through
+  ``counters.increment`` with the slot's ceiling, plus the documented
+  snapshot layout, is its reference.
 * ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
   with ValueError.
 * ``_engine.simulate`` runs replicates side by side, morris and fp
@@ -29,6 +30,8 @@
   states, consumed bits and estimates.
 * The qary closed forms ``estimate`` and ``variance_fn`` round an
   exponent of size k/r; 50-digit ``decimal`` values are their reference.
+  The exact morris and fp closed forms have the defining series
+  ``estimate_series`` and ``variance_series`` as theirs.
 """
 
 import decimal
@@ -52,7 +55,7 @@ from fpcount import (
     variance_fn,
 )
 from fpcount._engine import simulate, trajectory
-from fpcount.chain import CounterRangeError
+from fpcount.chain import CounterRangeError, estimate_series, variance_series
 from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import (
     MAX_SCAN,
@@ -302,11 +305,14 @@ def _outcome(thunk):
 
 @st.composite
 def table_runs(draw):
-    # exponent bits: few (so slots saturate within a few hundred events)
-    # or any
-    gap = draw(st.one_of(st.integers(1, 3), st.integers(1, 32)))
-    d = draw(st.integers(0, 32 - gap))
-    width = d + gap
+    # byte slots (read and written whole), or exponent bits: few (so
+    # slots saturate within a few hundred events) or any
+    if draw(st.booleans()):
+        d, width = draw(st.integers(0, 7)), 8
+    else:
+        gap = draw(st.one_of(st.integers(1, 3), st.integers(1, 32)))
+        d = draw(st.integers(0, 32 - gap))
+        width = d + gap
     slots = draw(st.integers(1, 12))
     top = (1 << width) - 1
     # start states: low, near the ceiling, or anywhere
@@ -481,3 +487,15 @@ def test_qary_closed_forms_match_high_precision(rk):
     params = CounterParams.qary(r)
     assert abs(decimal.Decimal(estimate(params, k)) - f) <= tol * f
     assert abs(decimal.Decimal(variance_fn(params, k)) - g) <= tol * g
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.one_of(
+        st.just(CounterParams.morris()), st.integers(0, 16).map(CounterParams.fp)
+    ),
+    k=st.integers(0, 5000),
+)
+def test_exact_closed_forms_match_series(params, k):
+    assert estimate(params, k) == estimate_series(params, k)
+    assert variance_fn(params, k) == variance_series(params, k)

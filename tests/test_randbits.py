@@ -144,6 +144,22 @@ class TestBernoulliPow2:
                 assert "1" not in script[: src.stream_position - 1]
         assert successes == 1
 
+    def test_word_reads_after_a_long_skip_hold_one_block(self):
+        # a skip at large t buffers many blocks; the word reads that follow
+        # must not keep shifting that whole span on every call
+        seed = 5
+        src = BitSource(seed)
+        src.skip(19, 1)
+        src.take_bits(2_000_000)
+        assert src._end - src.stream_position <= 64
+        fresh = BitSource(seed)
+        fresh.take_bits(src.stream_position)
+        for t in (3, 1, 70, 0, 9):
+            assert src.bernoulli_pow2(t) == fresh.bernoulli_pow2(t)
+            assert src.take_bits(t) == fresh.take_bits(t)
+            assert src.stream_position == fresh.stream_position
+        assert src._end - src.stream_position <= 64
+
     def test_same_logic_on_the_real_source(self):
         # the production source must agree with a script of its own bits
         seed = 31337

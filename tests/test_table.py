@@ -37,12 +37,19 @@ def test_payload_is_tightly_packed():
     assert table.payload_bytes == (13 * 5 + 7) // 8  # 9 bytes, slots straddle
 
 
-def test_index_bounds():
-    table = CounterTable(3, 0, 5)
-    with pytest.raises(IndexError):
-        table.get_state(3)
-    with pytest.raises(IndexError):
-        table.get_state(-1)
+@pytest.mark.parametrize("width", [5, 8])
+def test_index_bounds(width):
+    # a bytearray would wrap -1 to the last byte: the range check must hold
+    # on byte slots as on packed ones
+    table = CounterTable(3, 0, width)
+    src = BitSource(0)
+    for index in (-1, 3):
+        with pytest.raises(IndexError):
+            table.get_state(index)
+        with pytest.raises(IndexError):
+            table.increment(index, src)
+    assert table.to_bytes() == CounterTable(3, 0, width).to_bytes()
+    assert src.stream_position == 0
 
 
 @pytest.mark.parametrize("width", WIDTHS)
