@@ -6,31 +6,39 @@ update inspects the same bits in the same order as
 would.  :mod:`fpcount.randbits` computes every stream block and decides
 what each step consumes; this module only runs the counters.
 
+:func:`simulate` is the one entry point, and a single trajectory is a
+run on one seed.  Each family has a per-seed kernel, which runs one
+replicate after another in Python ints and floats, and a vector kernel,
+which runs all replicates side by side in numpy arrays.  A vector round
+costs tens of microseconds however few replicates it carries, so
+:func:`simulate` runs the per-seed kernels below ``_VECTOR_MIN`` seeds.
+
 The bit-scan families (morris, fp) simulate advances, not updates.  At
 state k an update scans t = k >> d bits, so the updates between two
 advances are failed scans, and randbits skips over a run of them at
-once: :func:`simulate` runs rounds of ``stream_skip`` over one 64-bit
-window per replicate, and :func:`trajectory` runs one seed through
-``BitSource.skip``.  Each replicate keeps its own update count and next
-checkpoint, and a run that reaches a checkpoint mid-wait stops there.
-The t = 0 states advance for certain and read no bits, so that prefix is
-applied at once.
+once: the vector kernel runs rounds of ``stream_skip`` over one 64-bit
+window per replicate, and the per-seed kernel runs ``BitSource.skip``.
+Each replicate keeps its own update count and next checkpoint, and a
+run that reaches a checkpoint mid-wait stops there.  The t = 0 states
+advance for certain and read no bits, so both kernels share one step
+that applies that prefix at once.
 
 qary compares a 53-bit uniform per update and cannot skip, but its draws
 do not depend on the state: a live counter's update m reads stream bits
 [53(m - 1), 53m), so all live replicates read at the same position.
-Both forms read the draws in chunks of about ``_DRAWS`` with
-``stream_uniforms53``, which mixes each block once.  :func:`simulate`
+Both kernels read the draws in chunks of about ``_DRAWS`` with
+``stream_uniforms53``, which mixes each block once.  The vector kernel
 makes each update one compare for all replicates against a table of
-q_k, grown chunk by chunk to the states the chunk can reach;
-:func:`trajectory` loops over one seed's draws as Python floats.
+q_k, grown chunk by chunk to the states the chunk can reach; the
+per-seed kernel loops over one seed's draws as Python floats, against
+q_k computed once for all its seeds.
 
 Counters saturate at the scalar path's ``DEFAULT_CEILING``: once there
 they stay put and consume no bits.
 
-The scalar loop and these paths are pinned against each other by tests;
-the engine exists so thousand-replicate ensembles to n = 10**5 finish
-in about a second instead of hours.
+The scalar loop and each kernel are pinned against each other by tests;
+the vector kernels exist so thousand-replicate ensembles to n = 10**5
+finish in about a second instead of hours.
 """
 
 from __future__ import annotations
@@ -39,12 +47,14 @@ import numpy as np
 
 from .chain import CounterParams, Family, estimate_float, transition_prob
 from .counters import DEFAULT_CEILING
-from .randbits import _MASK64, UNIFORM_BITS, BitSource, stream_skip, stream_uniforms53
+from .randbits import UNIFORM_BITS, BitSource, stream_skip, stream_uniforms53
 
 # qary draws per chunk, over all replicates: each chunk array stays near
 # 128 KB, so memory is bounded for any n and replicate count
 _DRAWS = 1 << 14
 _CEILING = np.uint64(DEFAULT_CEILING)
+# fewer seeds than this run one at a time (qary(2**20) crosses over near 8)
+_VECTOR_MIN = 8
 
 
 def simulate(
@@ -58,17 +68,23 @@ def simulate(
     `checkpoints` are increasing update counts in 1..n_max.  Returns
     (states, bits, estimates), each shaped (len(checkpoints), seeds.size);
     `bits` is the exact count of stream bits consumed up to the checkpoint.
+    The outputs do not depend on which kernels run.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
     cps = [int(c) for c in checkpoints]
     states = np.zeros((len(cps), seeds.size), dtype=np.uint64)
     bits = np.zeros_like(states)
-    if cps and params.family is Family.QARY:
-        _qary_updates(params, seeds, cps, states, bits)
-    elif cps:
-        _scan_rounds(params, seeds, cps, states, bits)
-    top = int(states.max(initial=0)) + 1
-    table = np.array([estimate_float(params, k) for k in range(top)])
+    if cps:
+        vector = seeds.size >= _VECTOR_MIN
+        if params.family is Family.QARY:
+            kernel = _qary_updates if vector else _qary_trajectory
+        else:
+            kernel = _scan_rounds if vector else _scan_trajectory
+        kernel(params, seeds, cps, states, bits)
+    held = np.zeros(int(states.max(initial=0)) + 1, dtype=bool)
+    held[states] = True
+    table = np.zeros(held.size)
+    table[held] = [estimate_float(params, k) for k in np.flatnonzero(held).tolist()]
     return states, bits, table[states]
 
 
@@ -104,24 +120,50 @@ def _thresholds(params, table: np.ndarray, top: int) -> np.ndarray:
     return np.concatenate([table, new]) if new else table
 
 
-def _scan_start(params: CounterParams) -> int:
-    """The first state that scans bits; the states below it have t = 0.
+def _qary_trajectory(params, seeds, cps, states, bits) -> None:
+    # the per-seed form of _qary_updates, on each seed's draws as floats;
+    # q[k] is computed once, by the first seed to reach k
+    q = [transition_prob(params, 0)]
+    for i in range(seeds.size):
+        k = m = ci = 0
+        qk = q[0]
+        while m < cps[-1] and k < DEFAULT_CEILING:
+            count = min(_DRAWS, cps[-1] - m)
+            draws = stream_uniforms53(seeds[i : i + 1], UNIFORM_BITS * m, count)
+            for u in draws[:, 0].tolist():
+                m += 1
+                if u < qk:
+                    k += 1
+                    if k == DEFAULT_CEILING:
+                        break
+                    if k == len(q):
+                        q.append(transition_prob(params, k))
+                    qk = q[k]
+                if m == cps[ci]:
+                    states[ci, i], bits[ci, i] = k, UNIFORM_BITS * m
+                    ci += 1
+        # a saturated counter keeps its state and bits to the end
+        states[ci:, i], bits[ci:, i] = k, UNIFORM_BITS * m
 
-    Capped at the ceiling, where the counter stops.
-    """
+
+def _scan_prefix(params, cps, states) -> tuple[int, int]:
+    # the t = 0 prefix, which reads no bits, for every replicate: returns the
+    # state and update count scans start from, and the first checkpoint to scan
     zero = params.modulus if params.family is Family.FP else 1
-    return min(zero, DEFAULT_CEILING)
-
-
-def _scan_rounds(params, seeds, cps, states, bits) -> None:
-    # the t = 0 prefix: every update advances and reads no bits
-    start = min(_scan_start(params), cps[-1])
+    start = min(zero, DEFAULT_CEILING, cps[-1])
     ci = 0
     while ci < len(cps) and cps[ci] <= start:
         states[ci] = cps[ci]
         ci += 1
-    if ci == len(cps) or start >= DEFAULT_CEILING:
+    if start >= DEFAULT_CEILING:
         states[ci:] = start
+        ci = len(cps)
+    return start, ci
+
+
+def _scan_rounds(params, seeds, cps, states, bits) -> None:
+    start, ci = _scan_prefix(params, cps, states)
+    if ci == len(cps):
         return
     shift = np.uint64(params.d if params.family is Family.FP else 0)
     cp_array = np.array(cps, dtype=np.uint64)
@@ -158,60 +200,15 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
         nxt = cp_array[cpi]
 
 
-def trajectory(
-    params: CounterParams, seed: int, checkpoints: list[int]
-) -> list[tuple[int, int]]:
-    """(state, bits consumed) of one counter at each checkpoint.
-
-    The scalar form of :func:`simulate`: the counter fed by
-    ``BitSource(seed)``, with morris and fp skipped from advance to
-    advance and qary compared against one bulk-read draw per update.
-    """
-    if params.family is Family.QARY:
-        return _qary_trajectory(params, seed, checkpoints)
-    return _scan_trajectory(params, seed, checkpoints)
-
-
-def _qary_trajectory(params, seed, cps) -> list[tuple[int, int]]:
-    # the scalar form of _qary_updates, on one seed's draws as floats
-    seeds = np.array([seed & _MASK64], dtype=np.uint64)
-    k = m = ci = 0
-    q = transition_prob(params, 0)
-    out = []
-    end = cps[-1] if cps else 0
-    while m < end and k < DEFAULT_CEILING:
-        draws = stream_uniforms53(seeds, UNIFORM_BITS * m, min(_DRAWS, end - m))
-        for u in draws[:, 0].tolist():
-            m += 1
-            if u < q:
-                k += 1
-                if k == DEFAULT_CEILING:
-                    break
-                q = transition_prob(params, k)
-            if m == cps[ci]:
-                out.append((k, UNIFORM_BITS * m))
-                ci += 1
-    # a saturated counter keeps its state and bits to the end
-    return out + [(k, UNIFORM_BITS * m)] * (len(cps) - ci)
-
-
-def _scan_trajectory(params, seed, checkpoints) -> list[tuple[int, int]]:
-    # the scalar form of _scan_rounds, through BitSource.skip
-    reader = BitSource(seed)
-    start = _scan_start(params)
-    k = m = 0
-    out = []
-    for cp in checkpoints:
-        while m < cp:
-            if k < start:
-                step = min(start - k, cp - m)
-                k += step
-                m += step
-            elif k >= DEFAULT_CEILING:
-                m = cp
-            else:
+def _scan_trajectory(params, seeds, cps, states, bits) -> None:
+    # the per-seed form of _scan_rounds, through BitSource.skip
+    start, first = _scan_prefix(params, cps, states)
+    for i, seed in enumerate(seeds.tolist()):
+        reader = BitSource(seed)
+        k = m = start
+        for ci, cp in enumerate(cps[first:], first):
+            while m < cp and k < DEFAULT_CEILING:
                 advanced, scans = reader.skip(params.scan_length(k), cp - m)
                 k += advanced
                 m += scans
-        out.append((k, reader.stream_position))
-    return out
+            states[ci, i], bits[ci, i] = k, reader.stream_position

@@ -3,8 +3,9 @@
 A trajectory drives one counter with the bit stream for its seed and
 records state, estimate, and relative error at requested checkpoints.
 An ensemble runs many independent replicates -- replicate i uses the
-stream seeded ``child_seed(seed, first_replicate + i)`` -- through the
-vectorized engine, which is bit-identical to looping
+stream seeded ``child_seed(seed, first_replicate + i)``.  Both run
+through ``_engine.simulate``, a trajectory as one seed, and whichever
+kernels it picks for the replicate count are bit-identical to looping
 :func:`fpcount.counters.increment` per replicate.  Reports keep the raw
 per-replicate estimates and bit counts, so merged reports agree exactly
 with a single pass over the union (including the 2-sigma outlier count,
@@ -19,11 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _engine
-from .chain import CounterParams, estimate_float
+from .chain import CounterParams
 from .randbits import child_seed
 
 # Nothing here calls these; they stay ensemble attributes because the
 # benchmark's tracer (bench/fpbench/tracer.py) wraps them by name.
+from .chain import estimate_float
 from .counters import increment
 from .randbits import BitSource
 
@@ -86,20 +88,20 @@ def run_trajectory(
 ) -> list[TrajectoryPoint]:
     """Simulate one counter for n_max updates, sampling at checkpoints.
 
-    Deterministic given the seed; updates after the last checkpoint
-    cannot be observed and are skipped.  The states come from
-    ``_engine.trajectory``, which consumes the stream exactly as a loop of
+    Deterministic given the seed mod 2**64; updates after the last
+    checkpoint cannot be observed and are skipped.  ``_engine.simulate``
+    runs the one seed, consuming the stream exactly as a loop of
     :func:`fpcount.counters.increment` on ``BitSource(seed)`` would.
     """
     cps = _validated_checkpoints(checkpoints, n_max)
     if not cps:
         return []
-    ks = [k for k, _ in _engine.trajectory(params, seed, cps)]
-    out: list[TrajectoryPoint] = []
-    for m, k in zip(cps, ks):
-        est = estimate_float(params, k)
-        out.append(TrajectoryPoint(m, k, est, (est - m) / m))
-    return out
+    seeds = np.array([seed % 2**64], dtype=np.uint64)
+    states, _, estimates = _engine.simulate(params, n_max, seeds, cps)
+    return [
+        TrajectoryPoint(m, k, est, (est - m) / m)
+        for m, k, est in zip(cps, states[:, 0].tolist(), estimates[:, 0].tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,16 @@ class TestCommands:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_seed_taken_mod_2_64(self, capsys):
+        argv = ["trajectory", "--counter", "fp", "--d", "4", "--n", "1000", "--seed"]
+        outs = []
+        for seed in ("-1", str(2**64 - 1)):
+            assert main([*argv, seed]) == 0
+            outs.append(capsys.readouterr().out)
+        # the seed column echoes the flag as given; every other byte agrees
+        assert outs[0].count(",-1,") == len(outs[0].splitlines()) - 1
+        assert outs[0].replace(",-1,", f",{2**64 - 1},") == outs[1]
+
     def test_floats_reparse_to_emitted_value(self):
         # shortest-repr formatting: text -> float -> text is the identity
         proc = run_cli(

@@ -1,9 +1,10 @@
 """Monte Carlo harness.
 
-The central claim: the vectorized ensemble engine reproduces, replicate
-by replicate and bit for bit, what the scalar counter loop does with
-the stream for child_seed(seed, i) — states, estimates, and the exact
-number of consumed stream bits, for every family.  Everything else
+The central claim: the ensemble engine reproduces, replicate by
+replicate and bit for bit, what the scalar counter loop does with the
+stream for child_seed(seed, i) — states, estimates, and the exact
+number of consumed stream bits, for every family, with its per-seed
+kernels and with its vector kernels.  Everything else
 (stats, merging, checkpoint helpers) is checked against plain numpy.
 """
 
@@ -21,6 +22,7 @@ from fpcount import (
     run_ensemble,
     run_trajectory,
 )
+from fpcount._engine import _VECTOR_MIN
 from fpcount.randbits import BitSource, child_seed
 
 FP4 = CounterParams.fp(4)
@@ -76,24 +78,38 @@ class TestTrajectory:
     def test_empty_checkpoints(self):
         assert run_trajectory(FP4, 10, 1, []) == []
 
+    @pytest.mark.parametrize("params", [FP4, CounterParams.qary(16)], ids=str)
+    @pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5)])
+    def test_seeds_taken_mod_2_64(self, params, seed, same):
+        cps = [1, 30, 700]
+        points = run_trajectory(params, 700, seed, cps)
+        assert points == run_trajectory(params, 700, same, cps)
+        assert points != run_trajectory(params, 700, same - 1, cps)
+        a = run_ensemble(params, 700, 3, seed=seed, checkpoints=cps)
+        b = run_ensemble(params, 700, 3, seed=same, checkpoints=cps)
+        for field in ("states", "bits", "estimates"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
 
 class TestEngineEquivalence:
     @staticmethod
-    def _assert_matches_scalar(params, n_max, cps, seed=42, reps=3):
-        report = run_ensemble(params, n_max, reps, seed=seed, checkpoints=cps)
-        for i in range(reps):
-            src = BitSource(child_seed(seed, i))
-            state = new_counter()
-            ci = 0
-            for m in range(1, n_max + 1):
-                state = increment(state, params, src)
-                if m == cps[ci]:
-                    assert int(report.states[ci, i]) == state.k
-                    assert int(report.bits[ci, i]) == src.stream_position
-                    assert report.estimates[ci, i] == estimate_float(params, state.k)
-                    ci += 1
-                    if ci == len(cps):
-                        break
+    def _assert_matches_scalar(params, n_max, cps, seed=42):
+        # 3 replicates run the per-seed kernels, _VECTOR_MIN the vector ones
+        for reps in (3, _VECTOR_MIN):
+            report = run_ensemble(params, n_max, reps, seed=seed, checkpoints=cps)
+            for i in range(reps):
+                src = BitSource(child_seed(seed, i))
+                state = new_counter()
+                ci = 0
+                for m in range(1, n_max + 1):
+                    state = increment(state, params, src)
+                    if m == cps[ci]:
+                        assert int(report.states[ci, i]) == state.k
+                        assert int(report.bits[ci, i]) == src.stream_position
+                        assert report.estimates[ci, i] == estimate_float(params, state.k)
+                        ci += 1
+                        if ci == len(cps):
+                            break
 
     @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
     def test_matches_scalar_counter_loop(self, params):

@@ -22,12 +22,13 @@
   snapshot layout, is its reference.
 * ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
   with ValueError.
-* ``_engine.simulate`` runs replicates side by side, morris and fp
-  counters skipping from advance to advance and qary counters comparing
-  bulk-read draws, in vector form there and in scalar form in
-  ``_engine.trajectory``; the ``counters.increment`` loop over each
-  replicate's stream is the reference of each form on its own, for
-  states, consumed bits and estimates.
+* ``_engine.simulate`` runs morris and fp counters skipping from
+  advance to advance and qary counters comparing bulk-read draws, one
+  seed at a time below ``_VECTOR_MIN`` replicates and side by side from
+  there on; runs are drawn on both sides of that count.  The
+  ``counters.increment`` loop over each replicate's stream is the
+  reference of each kernel on its own, for states, consumed bits and
+  estimates.
 * The qary closed forms ``estimate`` and ``variance_fn`` round an
   exponent of size k/r; 50-digit ``decimal`` values are their reference.
   The exact morris and fp closed forms have the defining series
@@ -54,7 +55,7 @@ from fpcount import (
     run_trajectory,
     variance_fn,
 )
-from fpcount._engine import simulate, trajectory
+from fpcount._engine import _VECTOR_MIN, simulate
 from fpcount.chain import CounterRangeError, estimate_series, variance_series
 from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import (
@@ -423,17 +424,26 @@ def engine_runs(
     n = draw(st.one_of(st.integers(1, 300), st.integers(1, 3000)))
     cps = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=8)))
     seed = draw(st.integers(0, 2**64 - 1))
-    seeds = [child_seed(seed, i) for i in range(draw(st.integers(1, 4)))]
+    # per-seed kernels below _VECTOR_MIN replicates, vector kernels from it
+    vector = st.integers(_VECTOR_MIN, _VECTOR_MIN + 2)
+    reps = draw(st.one_of(st.integers(1, 3), vector))
+    seeds = [child_seed(seed, i) for i in range(reps)]
     return params, n, cps, seeds
 
 
 # the t = 0 prefix of fp(16) ends at DEFAULT_CEILING; fp(15) scans up to
-# it; qary(2**20) advances on most updates and saturates between 66000
-# and 68000 on this stream
+# it, and reaches it after about 98300 updates; qary(2**20) advances on
+# most updates and saturates between 66000 and 68000 on this stream
 CEILING_RUNS = [
     (CounterParams.fp(16), 70000, [DEFAULT_CEILING - 1, DEFAULT_CEILING, 70000], [5]),
-    (CounterParams.fp(15), 70000, [40000, DEFAULT_CEILING + 1, 70000], [6]),
+    (CounterParams.fp(15), 100000, [40000, DEFAULT_CEILING + 1, 70000, 100000], [6]),
     (CounterParams.qary(2**20), 70000, [66000, 68000, 70000], [7]),
+    (
+        CounterParams.fp(15),
+        100000,
+        [DEFAULT_CEILING + 1, 98000, 100000],
+        [child_seed(8, i) for i in range(_VECTOR_MIN)],
+    ),
 ]
 
 
@@ -442,6 +452,7 @@ CEILING_RUNS = [
 @example(run=CEILING_RUNS[0])
 @example(run=CEILING_RUNS[1])
 @example(run=CEILING_RUNS[2])
+@example(run=CEILING_RUNS[3])
 def test_engine_matches_scalar_loop(run):
     params, n, cps, seeds = run
     states, bits, estimates = simulate(
@@ -462,7 +473,8 @@ def test_trajectory_matches_scalar_loop(run):
     params, n, cps, seeds = run
     for seed in seeds:
         want = _increment_loop(params, seed, cps)
-        assert trajectory(params, seed, cps) == want
+        states, bits, _ = simulate(params, n, np.array([seed], dtype=np.uint64), cps)
+        assert list(zip(states[:, 0].tolist(), bits[:, 0].tolist())) == want
         points = run_trajectory(params, n, seed, cps)
         assert [(p.n, p.k, p.estimate) for p in points] == [
             (m, k, estimate_float(params, k)) for m, (k, _) in zip(cps, want)

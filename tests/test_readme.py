@@ -1,15 +1,32 @@
-"""README's library example runs, and each ``# ->`` value in it holds.
+"""README's examples run and print what README says they print.
 
-A ``# -> value`` comment states the repr of the expression on its line.
-``...`` in the value elides the rest of a number, and the value may be
-followed by ``, commentary``.
+In the library example, a ``# -> value`` comment states the repr of the
+expression on its line.  ``...`` in the value elides the rest of a
+number, and the value may be followed by ``, commentary``.  Each
+``$ fpcount ...`` example in the CLI block is followed by its exact
+stdout, up to the next blank line.
 """
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from fpcount.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ARROW = re.compile(r"^(?P<expr>\S.*?)\s+# -> (?P<value>.*)$")
+
+
+def _cli_examples() -> list[tuple[str, str]]:
+    """(command, stdout) of each example in README's CLI block."""
+    (block,) = re.findall(r"```text\n(.*?)```", README.read_text(), re.S)
+    examples = []
+    for chunk in re.sub(r"\\\n\s*", "", block).strip().split("\n\n"):
+        command, out = chunk.split("\n", 1)
+        examples.append((command, out + "\n"))
+    return examples
 
 
 def _states(text: str, value: str) -> bool:
@@ -45,3 +62,17 @@ def test_library_example_holds():
     assert checks
     for (expr, value), text in zip(checks, namespace["_seen"], strict=True):
         assert _states(text, value), (expr, text, value)
+
+
+def test_readme_has_five_cli_examples():
+    commands = [command for command, _ in _cli_examples()]
+    assert len(commands) == 5
+    assert all(command.startswith("$ fpcount ") for command in commands)
+
+
+@pytest.mark.parametrize(
+    "command, stdout", _cli_examples(), ids=[c for c, _ in _cli_examples()]
+)
+def test_cli_example_prints_readme_output(command, stdout, capsys):
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out == stdout
