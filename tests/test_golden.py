@@ -1,8 +1,9 @@
 """Golden CLI output: byte-exact stdout for a fixed set of invocations.
 
 The expected text was recorded from the CLI and must not change when the
-code behind it is restructured.  Commands whose values come from libm
-``pow``/``expm1`` (qary) or from numpy reductions (ensemble) are left out.
+code behind it is restructured.  Commands whose values come from numpy
+reductions (ensemble) are left out.  The one qary case takes its q_k and
+estimates from libm ``pow``/``expm1``; it was recorded with glibc.
 """
 
 import pytest
@@ -65,6 +66,12 @@ GOLDEN = [
         "oracle --counter fp --d 8 --n 20000",
         "family,param,n,mean,variance,accuracy\n"
         "fp,8,20000,20000.00000000002,577248.0000016866,0.037988419288043744\n"
+    ),
+    # the float walker's non-dyadic path: q_k = 2**(-k/16)
+    (
+        "oracle --counter qary --r 16 --n 100000",
+        "family,param,n,mean,variance,accuracy\n"
+        "qary,16,100000,100000.00000000013,221366698.4479485,0.14878397038926872\n"
     ),
     (
         "bits --counter morris --n 120 --mode exact",

@@ -4,13 +4,16 @@ The exact sweep is validated against an independently written
 Fraction-arithmetic recurrence (dict-based, no shared denominators, no
 windowing) — the two implementations share no code below the public
 API.  Float mode is then pinned against exact mode, and the moment
-sweep against per-n distributions.
+sweep against per-n distributions.  The in-place window walker is pinned
+byte for byte against an allocate-per-step walker kept here.
 """
 
 import math
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +53,121 @@ def reference_distribution(params, n):
             nxt[k + 1] += q * p
         probs = {k: p for k, p in nxt.items() if p}
     return probs
+
+
+def reference_windows(params, n_max, exact):
+    """The allocate-per-step window walker: (n, lo, weights, scale) per n.
+
+    Each step builds move and stay in fresh arrays and copies them into a
+    zeroed window one state wider; the in-place walker must reproduce its
+    windows byte for byte.
+    """
+    lo, scale = 0, (1 if exact else 1.0)
+    floor = 0 if exact else _FLOAT_FLOOR
+    w = np.array([scale], dtype=object if exact else float)
+    if exact:
+        t = np.array([params.scan_length(k) for k in range(n_max + 1)], dtype=object)
+    else:
+        q = np.zeros(0)
+    yield 0, lo, w, scale
+    for n in range(1, n_max + 1):
+        hi = lo + w.size
+        if exact:
+            s = t[hi - 1]
+            move = w << (s - t[lo:hi])
+            stay = (w << s) - move
+            scale <<= s
+        else:
+            if hi >= q.size:
+                upto = max(2 * q.size, hi + 1, 64)
+                q = np.array([float(transition_prob(params, k)) for k in range(upto)])
+            move = w * q[lo:hi]
+            stay = w - move
+        new = np.zeros(w.size + 1, dtype=w.dtype)
+        new[:-1] = stay
+        new[1:] += move
+        start, end = 0, new.size
+        while new[start] <= floor:
+            start += 1
+        while new[end - 1] == 0:
+            end -= 1
+        lo += start
+        w = new[start:end]
+        yield n, lo, w, scale
+
+
+def assert_windows_pinned(params, checkpoints, exact):
+    """_windows at sorted `checkpoints` (repeats allowed) == the reference."""
+    cps = sorted(checkpoints)
+    ref = reference_windows(params, cps[-1], exact)
+    n_ref, lo_ref, w_ref, scale_ref = next(ref)
+    yields = 0
+    for c, (n, lo, weights, scale) in zip(cps, _windows(params, cps, exact)):
+        while n_ref < c:
+            n_ref, lo_ref, w_ref, scale_ref = next(ref)
+        assert (n, lo, type(scale), scale) == (c, lo_ref, type(scale_ref), scale_ref)
+        assert weights.dtype == w_ref.dtype
+        if exact:
+            assert weights.tolist() == w_ref.tolist()
+            assert all(type(v) is int for v in weights)
+        else:
+            assert weights.tobytes() == w_ref.tobytes()
+        yields += 1
+    assert yields == len(cps)
+
+
+@st.composite
+def window_walks(draw):
+    """(params, checkpoints, exact): n <= 5000 floats, shorter exact walks."""
+    exact = draw(st.booleans())
+    family = draw(st.sampled_from(["morris", "fp"] if exact else ["morris", "fp", "qary"]))
+    if family == "morris":
+        params = MORRIS
+    elif family == "fp":
+        params = CounterParams.fp(draw(st.integers(0, 12)))
+    else:
+        params = CounterParams.qary(draw(st.integers(1, 64)))
+    # exact numerators grow with n and shrink with d: keep examples short
+    cap = (60 if family == "morris" else 30 << min(params.d, 4)) if exact else 5000
+    n = draw(st.integers(0, cap))
+    extra = draw(st.lists(st.integers(0, n), max_size=5))
+    return params, [0, n, *extra, *extra[:2]], exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=window_walks())
+def test_in_place_windows_match_the_reference_bytes(walk):
+    assert_windows_pinned(*walk)
+
+
+@pytest.mark.parametrize(
+    "params, n, exact",
+    [
+        (CounterParams.fp(12), 300, False),  # one-state window past 64, 128, 256
+        (CounterParams.fp(4), 5000, False),  # a spread top through 64 and 128
+        (CounterParams.fp(7), 2000, False),  # a spread top through 256
+        (Q16, 5000, False),  # q_k not dyadic: w - w*q differs from w*(1 - q)
+        (MORRIS, 140, True),  # exact windows hold n + 1 states
+        (CounterParams.fp(8), 300, True),
+    ],
+    ids=str,
+)
+def test_in_place_windows_cross_the_growth_points(params, n, exact):
+    cps = [0, 63, 64, 65, 127, 128, 129, 255, 256, 257, n // 2, n, n]
+    assert_windows_pinned(params, [c for c in cps if c <= n], exact)
+
+
+def test_exact_walker_allocates_nothing_sized_by_n():
+    # the first window comes before any step, so no per-state table is due
+    tracemalloc.start()
+    try:
+        walk = _windows(FP4, [0, 10**6], exact=True)
+        next(walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    walk.close()
+    assert peak < 2**20
 
 
 @settings(max_examples=100, deadline=None)
@@ -212,7 +330,7 @@ class TestSweepMoments:
     def test_float_windows_shed_their_lower_tail(self):
         # a subnormal bottom weight times q = 2**-t can round to 0 and stay
         # put forever; the floor drops it (fp(8) kept 878 at n = 20000)
-        for _, _, weights, _ in _windows(CounterParams.fp(8), 20000, exact=False):
+        for _, _, weights, _ in _windows(CounterParams.fp(8), list(range(20001)), exact=False):
             assert weights[0] > _FLOAT_FLOOR
 
 
