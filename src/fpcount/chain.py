@@ -287,11 +287,17 @@ class AccuracyBounds:
 
 
 def accuracy_limits(params: CounterParams) -> AccuracyBounds:
-    """Limits of the n-step accuracy sqrt(Var f(X_n))/n as n grows.
+    """Window for the n-step accuracy sqrt(Var f(X_n))/n as n grows.
 
-    fp: liminf/limsup of relative_spread**2 along the significand cycle
-    are 1/(3M) and 3/(8M), giving the window
-    [sqrt(1/(3M - 1)), sqrt(3/(8M - 3))].  qary: relative_spread
+    fp: an enclosing window, tight as d grows.  Along the significand
+    cycle k = M*t + u, M * relative_spread**2 tends to (1/3 + x)/(1 + x)**2
+    with x = u/M: 1/3 at u = 0, and below 3/8 for every u, since the top
+    needs x = 1/3, which no u/M reaches (at d = 1 the cycle's maximum is
+    10/27, at d = 10 0.37499998).  The ends s = 1/(3M) and 3/(8M) map
+    through s -> s/(1 - s), the relation between qary's limiting spread
+    and its accuracy, to the window [sqrt(1/(3M - 1)), sqrt(3/(8M - 3))].  At d = 0 the cycle is the one
+    state of morris, so the accuracy settles at the lower end sqrt(1/2)
+    and the top sqrt(3/5) is never approached.  qary: relative_spread
     converges, so both ends equal sqrt((q - 1)/2); morris is the q = 2
     case with window collapsing to sqrt(1/2).
     """

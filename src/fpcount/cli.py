@@ -11,15 +11,18 @@ table-demo   fill a packed counter table and report per-slot estimates
 
 Output is CSV (default) or JSON with identical fields; reruns with
 identical flags produce byte-identical output.  Exit codes: 0 success,
-2 usage error, 3 numeric range failure.  Flag errors print argparse's
-usage line; inputs the library rejects (a ``ValueError``) or that exhaust
-memory print the one line ``fpcount: error: <message>`` with no usage line.
+2 usage error, 3 numeric range failure.  argparse checks syntax only, and
+its errors print the usage line; the library owns every value range.
+Inputs it rejects (a ``ValueError``) or that exhaust memory print the one
+line ``fpcount: error: <message>`` with no usage line, except that a bad
+``--d`` or ``--r`` is resolved at parse time and keeps the usage line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -38,83 +41,77 @@ __all__ = ["build_parser", "execute", "main", "parse_args"]
 
 
 def _positive_int(text: str) -> int:
+    # n >= 1 is the CLI's own rule: checkpoints are resolved from --n at parse time
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the six commands.
+
+    It checks syntax, and n >= 1; the library owns every other value
+    range, so each range has one error message.
+    """
     parser = argparse.ArgumentParser(
         prog="fpcount",
         description="Probabilistic counter simulations and exact distribution math.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
+    def command(name: str, summary: str, seed: bool = True, **options) -> None:
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--counter",
             required=True,
             choices=["morris", "qary", "fp"],
             help="counter family",
         )
-        p.add_argument("--d", type=_nonnegative_int, help="fp significand width")
-        p.add_argument("--r", type=_positive_int, help="qary resolution (q = 2**(1/r))")
-        if with_seed:
+        p.add_argument("--d", type=int, help="fp significand width")
+        p.add_argument("--r", type=int, help="qary resolution (q = 2**(1/r))")
+        if seed:
             p.add_argument("--seed", type=int, default=1, help="stream seed (default 1)")
         p.add_argument(
             "--output", choices=["csv", "json"], default="csv", help="output format"
         )
+        for flag, spec in options.items():
+            p.add_argument(f"--{flag}", **spec)
 
-    p = sub.add_parser("trajectory", help="simulate one counter")
-    add_common(p)
-    p.add_argument("--n", type=_positive_int, required=True, help="number of updates")
-    p.add_argument(
-        "--checkpoints",
-        default="log",
-        help="'log', 'linear', or comma-separated update counts",
+    n = dict(type=_positive_int, required=True, help="number of updates")
+    checkpoints = dict(
+        default="log", help="'log', 'linear', or comma-separated update counts"
     )
+    mode = dict(choices=[MODE_EXACT, MODE_FLOAT], default=MODE_FLOAT)
 
-    p = sub.add_parser("ensemble", help="simulate replicate ensembles")
-    add_common(p)
-    p.add_argument("--n", type=_positive_int, required=True, help="number of updates")
-    p.add_argument(
-        "--replicates", type=_positive_int, required=True, help="number of replicates"
+    command("trajectory", "simulate one counter", n=n, checkpoints=checkpoints)
+    command(
+        "ensemble",
+        "simulate replicate ensembles",
+        n=n,
+        replicates=dict(type=int, required=True, help="number of replicates"),
+        checkpoints=checkpoints,
     )
-    p.add_argument(
-        "--checkpoints",
-        default="log",
-        help="'log', 'linear', or comma-separated update counts",
+    command(
+        "oracle", "distribution moments at one update count", seed=False, n=n, mode=mode
     )
-
-    p = sub.add_parser("oracle", help="distribution moments at one update count")
-    add_common(p, with_seed=False)
-    p.add_argument("--n", type=_positive_int, required=True, help="number of updates")
-    p.add_argument("--mode", choices=[MODE_EXACT, MODE_FLOAT], default=MODE_FLOAT)
-
-    p = sub.add_parser("bounds", help="asymptotic accuracy window")
-    add_common(p, with_seed=False)
-
-    p = sub.add_parser("bits", help="expected random-bit cost of the next update")
-    add_common(p, with_seed=False)
-    p.add_argument("--n", type=_positive_int, required=True, help="updates so far")
-    p.add_argument("--mode", choices=[MODE_EXACT, MODE_FLOAT], default=MODE_FLOAT)
-
-    p = sub.add_parser("table-demo", help="fill a packed counter table")
-    add_common(p)
-    p.add_argument("--slots", type=_positive_int, default=8, help="number of slots")
-    p.add_argument("--width", type=_positive_int, default=8, help="bits per slot")
-    p.add_argument(
-        "--n", type=_positive_int, default=1000, help="updates per slot (default 1000)"
+    command("bounds", "asymptotic accuracy window", seed=False)
+    command(
+        "bits",
+        "expected random-bit cost of the next update",
+        seed=False,
+        n={**n, "help": "updates so far"},
+        mode=mode,
     )
-
+    command(
+        "table-demo",
+        "fill a packed counter table",
+        slots=dict(type=int, default=8, help="number of slots"),
+        width=dict(type=int, default=8, help="bits per slot"),
+        n=dict(
+            type=_positive_int, default=1000, help="updates per slot (default 1000)"
+        ),
+    )
     return parser
 
 
@@ -145,11 +142,17 @@ def _resolve_checkpoints(
     return cps
 
 
+# built on the first parse, not at import; argparse keeps no state between parses
+_parser = functools.cache(build_parser)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse `argv`; `params` and `checkpoints` are resolved in place."""
-    parser = build_parser()
+    """Parse `argv`; `params`, `checkpoints` and `seed` (mod 2**64) resolve in place."""
+    parser = _parser()
     args = parser.parse_args(argv)
     args.params = _resolve_params(parser, args)
+    if hasattr(args, "seed"):
+        args.seed %= 2**64
     if hasattr(args, "checkpoints"):
         args.checkpoints = _resolve_checkpoints(parser, args.checkpoints, args.n)
     if args.command == "table-demo" and args.params.family is not Family.FP:

@@ -218,6 +218,21 @@ class TestAccuracyLimits:
         assert bounds.lower == bounds.upper
         assert bounds.lower == pytest.approx(math.sqrt((2 ** (1 / 16) - 1) / 2), rel=1e-9)
 
+    def test_fp_cycle_spreads_lie_in_the_window_ends(self):
+        # M*g/f**2 over one significand cycle, exactly, at t = 200: within
+        # O(2**-t) of [1/3, 3/8], the range the window's ends come from
+        t = 200
+        bottom, top = Fraction(1, 3) - Fraction(1, 2**150), Fraction(3, 8)
+        for d in range(11):
+            params, m = CounterParams.fp(d), 1 << d
+            ratios = [
+                Fraction(m * variance_fn(params, k), estimate(params, k) ** 2)
+                for k in range(m * t, m * t + m)
+            ]
+            assert all(bottom < r <= top for r in ratios), d
+            if d == 0:  # one state per cycle: morris
+                assert max(ratios) == min(ratios)
+
     def test_fp0_window_contains_the_morris_limit(self):
         # the fp window treats the worst significand as continuous, so at
         # d=0 it is an outer bound: its lower end is the true morris limit
