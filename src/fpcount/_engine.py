@@ -149,7 +149,7 @@ def _qary_trajectory(params, seeds, cps, states, bits) -> None:
 def _scan_prefix(params, cps, states) -> tuple[int, int]:
     # the t = 0 prefix, which reads no bits, for every replicate: returns the
     # state and update count scans start from, and the first checkpoint to scan
-    zero = params.modulus if params.family is Family.FP else 1
+    zero = 1 << params._shift
     start = min(zero, DEFAULT_CEILING, cps[-1])
     ci = 0
     while ci < len(cps) and cps[ci] <= start:
@@ -165,7 +165,7 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
     start, ci = _scan_prefix(params, cps, states)
     if ci == len(cps):
         return
-    shift = np.uint64(params.d if params.family is Family.FP else 0)
+    shift = np.uint64(params._shift)
     cp_array = np.array(cps, dtype=np.uint64)
     # reaching DEFAULT_CEILING takes that many updates
     ceiling = cps[-1] > DEFAULT_CEILING

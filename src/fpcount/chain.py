@@ -32,7 +32,7 @@ range raise :class:`CounterRangeError` instead of returning inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -79,6 +79,9 @@ class CounterParams:
     family: Family
     d: int | None = None
     r: int | None = None
+    # the exponent shift of the bit-scan families, t = k >> _shift: d for
+    # fp and 0 for morris, the fp chain with d = 0; None for qary
+    _shift: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
@@ -87,6 +90,7 @@ class CounterParams:
                 raise ValueError("fp counter requires d >= 0")
             if self.r is not None:
                 raise ValueError("fp counter does not take r")
+            object.__setattr__(self, "_shift", self.d)
         elif self.family is Family.QARY:
             if self.r is None or self.r < 1:
                 raise ValueError("qary counter requires r >= 1")
@@ -95,6 +99,7 @@ class CounterParams:
         else:
             if self.d is not None or self.r is not None:
                 raise ValueError("morris counter takes neither d nor r")
+            object.__setattr__(self, "_shift", 0)
 
     @classmethod
     def morris(cls) -> "CounterParams":
@@ -137,17 +142,9 @@ class CounterParams:
         Defined for the bit-scan families only: k >> d for fp, k for
         morris.  A qary update draws a 53-bit uniform instead.
         """
-        if self.family is Family.FP:
-            return k >> self.d
-        if self.family is Family.MORRIS:
-            return k
-        raise ValueError("qary updates draw a uniform, not a bit scan")
-
-    def _split(self, k: int) -> tuple[int, int, int]:
-        # (modulus, exponent, significand) with morris handled as d = 0
-        d = self.d if self.family is Family.FP else 0
-        m = 1 << d
-        return m, k >> d, k & (m - 1)
+        if self._shift is None:
+            raise ValueError("qary updates draw a uniform, not a bit scan")
+        return k >> self._shift
 
 
 def _require_state(k: int) -> None:
@@ -168,12 +165,10 @@ def transition_prob(params: CounterParams, k: int) -> Fraction | float:
     return Fraction(1, 1 << params.scan_length(k))
 
 
-def _finite_qary(value: float, what: str, params: CounterParams, k: int) -> float:
-    if not math.isfinite(value):
-        raise CounterRangeError(
-            f"{what} at qary state {k} (r={params.r}) exceeds the float range"
-        )
-    return value
+def _qary_range_error(what: str, params: CounterParams, k: int) -> CounterRangeError:
+    return CounterRangeError(
+        f"{what} at qary state {k} (r={params.r}) exceeds the float range"
+    )
 
 
 def estimate(params: CounterParams, k: int) -> int | float:
@@ -183,16 +178,15 @@ def estimate(params: CounterParams, k: int) -> int | float:
     Float for qary: f(k) = (q**k - 1)/(q - 1), computed via expm1; the
     rounded exponent k*ln2/r puts the relative error of order k/r ulps.
     """
-    _require_state(k)
-    if params.family is Family.QARY:
-        r = params.r
-        try:
-            f = math.expm1(k * _LN2 / r) / math.expm1(_LN2 / r)
-        except OverflowError:
-            f = math.inf
-        return _finite_qary(f, "estimate", params, k)
-    m, t, u = params._split(k)
-    return ((m + u) << t) - m
+    # one family test, and helpers on the error paths only; the qary value
+    # is estimate_float's, which the float reads call directly
+    if k < 0:
+        _require_state(k)
+    d = params._shift
+    if d is None:
+        return estimate_float(params, k)
+    m = 1 << d
+    return ((m + (k & (m - 1))) << (k >> d)) - m
 
 
 def variance_fn(params: CounterParams, k: int) -> int | float:
@@ -205,13 +199,18 @@ def variance_fn(params: CounterParams, k: int) -> int | float:
     does not cancel at small k.
     """
     _require_state(k)
-    if params.family is Family.QARY:
+    d = params._shift
+    if d is None:
         if not k:
             return 0.0  # f(0) = 0 would make the product below -0.0
         q = params.base
-        g = estimate(params, k) * (q * math.expm1((k - 1) * _LN2 / params.r) / (q + 1))
-        return _finite_qary(g, "variance_fn", params, k)
-    m, t, u = params._split(k)
+        f = estimate_float(params, k)
+        g = f * (q * math.expm1((k - 1) * _LN2 / params.r) / (q + 1))
+        if math.isfinite(g):
+            return g
+        raise _qary_range_error("variance_fn", params, k)
+    m = 1 << d
+    t, u = k >> d, k & (m - 1)
     numerator = ((m + 3 * u) << (2 * t)) - ((3 * (m + u)) << t) + 2 * m
     return numerator // 3
 
@@ -318,14 +317,25 @@ def estimate_float(params: CounterParams, k: int) -> float:
     (possible for saturated wide-exponent states).  With k = M*t + u the
     closed form (M + u)*2**t - M is at least 2**t - 1 for t >= 1, so
     t > 1024 is refused before the astronomically large integer is built.
+    The qary closed form lives here, and :func:`estimate` returns it.
     """
-    if params.family is Family.QARY:
-        return estimate(params, k)
-    _require_state(k)
-    m, t, u = params._split(k)
+    if k < 0:
+        _require_state(k)
+    d = params._shift
+    if d is None:
+        r = params.r
+        try:
+            f = math.expm1(k * _LN2 / r) / math.expm1(_LN2 / r)
+        except OverflowError:
+            f = math.inf
+        if math.isfinite(f):
+            return f
+        raise _qary_range_error("estimate", params, k)
+    t = k >> d
     if t > 1024:
         raise CounterRangeError(f"estimate at state {k} exceeds the float range")
+    m = 1 << d
     try:
-        return float(((m + u) << t) - m)
+        return float(((m + (k & (m - 1))) << t) - m)
     except OverflowError:
         raise CounterRangeError(f"estimate at state {k} exceeds the float range") from None

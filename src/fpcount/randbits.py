@@ -41,6 +41,7 @@ _MIX2 = 0x94D049BB133111EB
 UNIFORM_BITS = 53  # the bits a uniform draw consumes
 _U53 = 2.0**-UNIFORM_BITS
 MAX_SCAN = 64  # the longest scan one 64-bit window holds
+_SELECT_LOOP_MAX = 8  # stream_skip selects up to this many limit hits one by one
 _SPAN_BLOCKS = 1 << 16  # the most blocks a BitSource.skip span holds
 
 # uint64 images for the vectorized reader, made once so that no array
@@ -191,10 +192,27 @@ def stream_skip(
     scans = np.minimum(failures, limit) + advanced
     last = _V65 - _bit_length64(w & (~w + _V1))  # just past the window's last 1
     used = np.where(advanced, _V64 - length + t, last)
-    # the limit-th failure comes before the success or the last 1
-    for i in np.flatnonzero(failures + found > limit):
-        used[i] = _after_ones(int(w[i]), 64, int(limit[i]))
+    # the limit-th failure comes before the success or the last 1; a few
+    # such rows cost less one by one than the vector select's numpy calls
+    over = np.flatnonzero(failures + found > limit)
+    if over.size > _SELECT_LOOP_MAX:
+        used[over] = _after_ones64(w[over], limit[over])
+    else:
+        for i in over.tolist():
+            used[i] = _after_ones(int(w[i]), 64, int(limit[i]))
     return advanced, scans, used
+
+
+def _after_ones64(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_after_ones(w, 64, r)`` for each uint64 w and its r, all at once.
+
+    Requires 1 <= r <= popcount(w).  The offsets before the r-th 1 are those
+    where the running count of 1s, first bit first, is still below r.
+    """
+    bits = np.unpackbits(w.astype(">u8").view(np.uint8)).reshape(-1, 64)
+    ones = bits.cumsum(axis=1, dtype=np.uint8)
+    # r <= 64: compared as bytes, the counts are not widened to uint64
+    return np.count_nonzero(ones < r.astype(np.uint8)[:, None], axis=1) + 1
 
 
 def _after_ones(x: int, n: int, r: int) -> int:

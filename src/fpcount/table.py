@@ -6,7 +6,9 @@ bit first, and bit b of the payload lives in byte b >> 3 at in-byte
 position b & 7.  Slots freely straddle byte boundaries; width 8 with a
 4-bit significand is enough to count past 5 * 10**5 per slot at one
 byte per counter.  A width-8 table holds slot i in byte i and indexes
-it directly, with the same snapshot bytes as the general layout.
+it directly, with the same snapshot bytes as the general layout, and
+reads a slot as one index into the 256 estimates of its d, computed
+once per process and shared by every width-8 table of that d.
 
 A slot whose value reaches 2**width - 1 is saturated: it is counted
 once in ``saturation_count``, further increments leave it unchanged,
@@ -54,6 +56,12 @@ def _slot_estimate(d: int, width: int, k: int) -> SlotEstimate:
     return SlotEstimate(estimate_float(CounterParams.fp(d), k), k == (1 << width) - 1)
 
 
+@functools.cache
+def _byte_reads(d: int) -> tuple[SlotEstimate, ...]:
+    # every read of a width-8 slot, indexed by the slot's byte
+    return tuple(_slot_estimate(d, 8, k) for k in range(256))
+
+
 class CounterTable:
     """num_slots packed fp(d) counters, width bits per slot."""
 
@@ -76,15 +84,19 @@ class CounterTable:
         self.saturation_count = 0
         self._max_value = (1 << width) - 1
         self._byte_slots = width == 8
+        self._reads = _byte_reads(d) if self._byte_slots else None
         self._data = bytearray(payload_bytes)
 
     @property
     def payload_bytes(self) -> int:
         return len(self._data)
 
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
+
     def get_state(self, index: int) -> int:
         if not 0 <= index < self.num_slots:
-            raise IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
+            raise self._out_of_range(index)
         if self._byte_slots:
             return self._data[index]
         bitpos = index * self.width
@@ -102,7 +114,7 @@ class CounterTable:
         # advance, written back once with 1 added at the slot's offset
         # (no carry leaves the slot, since k < 2**width - 1)
         if not 0 <= index < self.num_slots:
-            raise IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
+            raise self._out_of_range(index)
         data = self._data
         top = self._max_value
         byte_slots = self._byte_slots
@@ -131,7 +143,12 @@ class CounterTable:
 
     def estimate(self, index: int) -> SlotEstimate:
         """Unbiased count estimate for the slot; a lower bound once saturated."""
-        return _slot_estimate(self.d, self.width, self.get_state(index))
+        reads = self._reads
+        if reads is None:
+            return _slot_estimate(self.d, self.width, self.get_state(index))
+        if not 0 <= index < self.num_slots:
+            raise self._out_of_range(index)
+        return reads[self._data[index]]
 
     # -- snapshots ------------------------------------------------------------
 

@@ -15,7 +15,9 @@
   window for many seeds; a loop of the scalar scan on a ``BitSource`` at
   the same position, or on a script of the window's bits, is its
   reference, for the outcome, the scans and the bits consumed.  The
-  exact bit helpers under it are pinned to Python's int methods.
+  exact bit helpers under it are pinned to Python's int methods, and its
+  vector select of the bit just past the r-th 1 to the scalar bisection
+  ``_after_ones``.
 * ``CounterTable.increment`` updates a packed slot in one pass, and a
   width-8 slot (drawn in half the runs) as one byte; a replay through
   ``counters.increment`` with the slot's ceiling, plus the documented
@@ -33,6 +35,10 @@
   exponent of size k/r; 50-digit ``decimal`` values are their reference.
   The exact morris and fp closed forms have the defining series
   ``estimate_series`` and ``variance_series`` as theirs.
+* ``estimate`` and ``estimate_float`` read a state in one pass; past
+  the double range they refuse with CounterRangeError, where the exact
+  int's size (morris and fp) or a 50-digit value (qary) is the
+  reference, and below it the float equals the exact int rounded.
 """
 
 import decimal
@@ -40,6 +46,7 @@ import struct
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +70,8 @@ from fpcount.randbits import (
     BitSource,
     BitStream,
     ScriptedBitSource,
+    _after_ones,
+    _after_ones64,
     _bit_length64,
     _popcount64,
     child_seed,
@@ -269,6 +278,31 @@ def test_vector_skip_matches_bernoulli_pow2(scans):
     _assert_skips([a for _, _, a in scans], seeds, pos, sources)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    scans=st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1),
+            st.integers(0, 64 * 41),
+            # long scans and low limits: most rows stop at their limit, so
+            # both the one-by-one and the vector select run
+            st.tuples(st.integers(4, MAX_SCAN), st.integers(1, 4)),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_vector_skip_with_many_limit_hits(scans):
+    seeds = np.array([s for s, _, _ in scans], dtype=np.uint64)
+    pos = np.array([p for _, p, _ in scans], dtype=np.uint64)
+    sources = []
+    for seed, p, _ in scans:
+        src = BitSource(seed)
+        src.take_bits(p)
+        sources.append(src)
+    _assert_skips([a for _, _, a in scans], seeds, pos, sources)
+
+
 windows = st.one_of(
     st.just(0),
     st.integers(0, 63).map(lambda b: 1 << b),
@@ -294,6 +328,16 @@ def test_exact_bit_helpers():
     x = np.array(values, dtype=np.uint64)
     assert _bit_length64(x).tolist() == [v.bit_length() for v in values]
     assert _popcount64(x).tolist() == [v.bit_count() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.one_of(windows, st.just(2**64 - 1)), min_size=1, max_size=8))
+def test_vector_select_matches_after_ones(words):
+    # every r from 1 to the word's 1s, with r as uint64 as stream_skip has it
+    pairs = [(w, r) for w in words for r in range(1, w.bit_count() + 1)]
+    w = np.array([w for w, _ in pairs], dtype=np.uint64)
+    r = np.array([r for _, r in pairs], dtype=np.uint64)
+    assert _after_ones64(w, r).tolist() == [_after_ones(w, 64, r) for w, r in pairs]
 
 
 def _outcome(thunk):
@@ -511,3 +555,88 @@ def test_qary_closed_forms_match_high_precision(rk):
 def test_exact_closed_forms_match_series(params, k):
     assert estimate(params, k) == estimate_series(params, k)
     assert variance_fn(params, k) == variance_series(params, k)
+
+
+# doubles end at the largest finite value 2**1024 - 2**971; an int rounds
+# to it below the halfway point to 2**1024, and overflows from there
+_DOUBLE_LIMIT = 2**1024 - 2**970
+
+
+@st.composite
+def binary_states(draw):
+    # morris, or fp(d) up to d = 1100, whose small states stay finite; the
+    # exponent t ranges to the float limit at t = 1024 and past it
+    params = draw(
+        st.one_of(
+            st.just(CounterParams.morris()),
+            st.integers(0, 16).map(CounterParams.fp),
+            st.integers(0, 1100).map(CounterParams.fp),
+        )
+    )
+    d = params.d or 0
+    t = draw(st.one_of(st.integers(0, 1100), st.integers(1015, 1030), st.just(2**40)))
+    u = draw(st.one_of(st.just(0), st.just((1 << d) - 1), st.integers(0, (1 << d) - 1)))
+    return params, (t << d) + u
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=binary_states())
+@example(state=(CounterParams.fp(1024), _DOUBLE_LIMIT - 1))
+@example(state=(CounterParams.fp(1024), _DOUBLE_LIMIT))
+def test_binary_reads_refuse_exactly_past_the_double_range(state):
+    params, k = state
+    d = params.d or 0
+    t = k >> d
+    # f(k) = (M + u)*2**t - M >= 2**t - 1, so t > 1024 is out of range
+    # without building the exact int
+    exact = None if t > 2048 else estimate(params, k)
+    if exact is None or exact >= _DOUBLE_LIMIT:
+        with pytest.raises(CounterRangeError):
+            estimate_float(params, k)
+    else:
+        assert estimate_float(params, k) == float(exact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rk=st.integers(1, 64).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.one_of(
+                st.integers(0, 1100 * r),
+                st.integers(1000 * r, 1050 * r),
+            ),
+        )
+    )
+)
+def test_qary_reads_refuse_exactly_past_the_double_range(rk):
+    # the exponent k*ln2/r is rounded, so near the limit the refusal may
+    # fall either way within the closed forms' k/r ulps
+    r, k = rk
+    params = CounterParams.qary(r)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        a = decimal.Decimal(2).ln() / r
+        f = ((a * k).exp() - 1) / (a.exp() - 1)
+        tol = decimal.Decimal(4 * (1 + k / r) * 2.0**-52)
+        limit = decimal.Decimal(_DOUBLE_LIMIT)
+        outcome = _outcome(lambda: estimate_float(params, k))
+        if outcome is CounterRangeError:
+            assert f >= limit * (1 - tol)
+        else:
+            assert f < limit * (1 + tol)
+            assert outcome == estimate(params, k)
+            assert abs(decimal.Decimal(outcome) - f) <= tol * f
+
+
+@pytest.mark.parametrize(
+    "params",
+    [CounterParams.morris(), CounterParams.fp(0), CounterParams.fp(4),
+     CounterParams.fp(1100), CounterParams.qary(1), CounterParams.qary(16)],
+)
+@pytest.mark.parametrize("k", [-1, -17, -(2**70)])
+def test_negative_states_are_refused(params, k):
+    for read in (estimate, estimate_float, variance_fn):
+        with pytest.raises(ValueError) as exc:
+            read(params, k)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"state must be nonnegative, got {k}"

@@ -6,8 +6,10 @@ import struct
 
 import pytest
 
-from fpcount import CounterParams, CounterTable, estimate_float
+from fpcount import CounterParams, CounterTable, SlotEstimate, estimate_float
+from fpcount.chain import CounterRangeError
 from fpcount.randbits import BitSource, ScriptedBitSource
+from fpcount.table import _slot_estimate
 
 WIDTHS = [5, 6, 8, 12, 16]
 
@@ -118,6 +120,51 @@ def test_estimate_flags_saturated_slots(with_slot):
     assert not est.lower_bound
     table = with_slot(table, 1, 15)
     assert table.estimate(1).lower_bound
+
+
+def _snapshot(d: int, width: int, states: list[int]) -> bytes:
+    # the documented layout: header, then slot i at bits [i*width, (i+1)*width)
+    size = (len(states) * width + 7) >> 3
+    payload = sum(k << (i * width) for i, k in enumerate(states))
+    header = struct.pack("<4sHBBQQ", b"FPCT", 1, d, width, len(states), 0)
+    return header + payload.to_bytes(size, "little")
+
+
+def _read(thunk):
+    try:
+        return thunk()
+    except (CounterRangeError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_byte_slots_read_every_state(d):
+    # slot k holds state k, so the reads cover all 256 byte values
+    table = CounterTable.from_bytes(_snapshot(d, 8, list(range(256))))
+    want = [
+        SlotEstimate(estimate_float(CounterParams.fp(d), k), k == 255)
+        for k in range(256)
+    ]
+    assert [table.estimate(k) for k in range(256)] == want
+    clone = CounterTable.from_bytes(table.to_bytes())
+    assert [clone.estimate(k) for k in range(256)] == want
+    for index in (-1, 256):
+        got = _read(lambda: table.estimate(index))
+        assert got == _read(lambda: table.get_state(index))
+        assert got == (IndexError, f"slot {index} out of range (0..255)")
+
+
+@pytest.mark.parametrize("width", [12, 16])
+@pytest.mark.parametrize("d", [0, 1, 4, 11])
+def test_wide_slots_read_like_slot_estimate(width, d):
+    top = (1 << width) - 1
+    rng = random.Random(width * 100 + d)
+    states = [0, 1, top - 1, top] + [rng.randrange(top + 1) for _ in range(60)]
+    table = CounterTable.from_bytes(_snapshot(d, width, states))
+    want = [_read(lambda: _slot_estimate(d, width, k)) for k in states]
+    assert [_read(lambda: table.estimate(i)) for i in range(len(states))] == want
+    clone = CounterTable.from_bytes(table.to_bytes())
+    assert [_read(lambda: clone.estimate(i)) for i in range(len(states))] == want
 
 
 def test_counts_past_half_a_million_in_one_byte():
