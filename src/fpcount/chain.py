@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 _LN2 = math.log(2.0)
 
 __all__ = [
@@ -163,6 +165,19 @@ def transition_prob(params: CounterParams, k: int) -> Fraction | float:
     if params.family is Family.QARY:
         return 2.0 ** (-(k / params.r))
     return Fraction(1, 1 << params.scan_length(k))
+
+
+def _transition_probs(params: CounterParams, start: int, stop: int) -> np.ndarray:
+    """q_k for k in range(start, stop) as doubles, each float(transition_prob).
+
+    2**-t is ldexp(1.0, -t), exact down to the subnormals and rounded to 0.0
+    from t = 1075 on, as float(Fraction(1, 2**t)) is; qary takes the same
+    per-state 2.0 ** (-(k / r)) as :func:`transition_prob`.
+    """
+    if params._shift is None:
+        r = params.r
+        return np.array([2.0 ** (-(k / r)) for k in range(start, stop)])
+    return np.ldexp(1.0, -(np.arange(start, stop) >> params._shift))
 
 
 def _qary_range_error(what: str, params: CounterParams, k: int) -> CounterRangeError:

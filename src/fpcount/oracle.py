@@ -31,8 +31,9 @@ Two evaluation modes:
 * ``float``: IEEE doubles (scale = 1.0) over the window of states whose
   probability has not underflowed to zero at the top or sunk to 1e-300 at
   the bottom.  The window is a few hundred states wide and a step is
-  three in-place ufunc calls over it, about 2 us: on the same Xeon, fp(4)
-  to n = 2**17 takes about 0.25 s and qary(16) to n = 10**5 about 0.2 s.
+  three in-place ufunc calls over it and one test of the bottom state,
+  about 2.5 us: on the same Xeon, fp(4) to n = 2**17 takes about 0.3 s
+  and qary(16) to n = 10**5 about 0.25 s.
   Each weighted sum is ``math.fsum`` of the products, and the variance
   sums centred squares, the numerically stable form.
 """
@@ -50,9 +51,9 @@ import numpy as np
 from .chain import (
     CounterParams,
     Family,
+    _transition_probs,
     estimate,
     estimate_float,
-    transition_prob,
     variance_fn,
 )
 
@@ -62,6 +63,10 @@ MODE_FLOAT = "float"
 # w * q for a subnormal w and q <= 1/2 can round to 0, so without this floor
 # a bottom weight could stay forever while its true probability decays
 _FLOAT_FLOOR = 1e-300
+# zero states the float walker's views hold above the live window when they
+# move: runs of steps go up to this long between moves, and the ufuncs carry
+# up to twice this many dead states; outputs do not depend on it
+_MARGIN = 64
 
 __all__ = [
     "BitCost",
@@ -115,54 +120,85 @@ def _windows(
     """Yield (n, lo, weights, scale) at each n of the sorted `checkpoints`.
 
     p[n][lo + j] = weights[j] / scale, dead states trimmed.  Weights are
-    Python ints (object array) over 2**e, or doubles over 1.0.  Both arrays
-    are indexed by state k and grow by doubling: the weights p, live on
-    [lo, hi) and zero above, and the per-state table of scan lengths, or
-    of q_k for doubles.  A float step is three in-place ufuncs on views
-    over [lo, hi + 1), rebuilt only when lo, hi or the capacity move.  The
-    walker yields only at checkpoints, and a yielded ``weights`` is a view
-    of p that the next step overwrites.
+    Python ints (object array) over 2**e, or doubles over 1.0, and the
+    float walk holds every dead state at 0.0.  The walker yields only at
+    checkpoints, and a yielded ``weights`` is a view of its array p that
+    the next step overwrites.
     """
-    n, lo, hi, scale = 0, 0, 1, (1 if exact else 1.0)
-    floor = 0 if exact else _FLOAT_FLOOR
-    dtype = object if exact else float
-    mul, sub, add = np.multiply, np.subtract, np.add
-    p, tab, span = np.array([scale], dtype=dtype), np.zeros(0, dtype=dtype), None
+    return (_exact_windows if exact else _float_windows)(params, checkpoints)
+
+
+def _exact_windows(params: CounterParams, checkpoints: Sequence[int]) -> Iterator[tuple]:
+    """The exact walk: integer numerators over one scale 2**e.
+
+    p, live on [lo, hi) and zero above, and the per-state table of scan
+    lengths are indexed by state k and grow by doubling.
+    """
+    n, lo, hi, scale = 0, 0, 1, 1
+    p, tab = np.array([1], dtype=object), np.zeros(0, dtype=object)
     for c in checkpoints:
         for _ in range(c - n):
             if hi >= p.size:
                 cap = max(2 * p.size, 64)
                 # scan lengths stay Python ints: a numpy int64 would overflow scale
-                more = [
-                    params.scan_length(k) if exact else float(transition_prob(params, k))
-                    for k in range(tab.size, cap)
-                ]
-                tab = np.concatenate((tab, np.array(more, dtype=dtype)))
-                p = np.concatenate((p, np.zeros(cap - p.size, dtype=dtype)))
-                m, span = np.empty(cap), None
-                pv = p if exact else memoryview(p)  # reads floats, not numpy scalars
-            if exact:
-                s, w = tab[hi - 1], p[lo:hi]
-                move = w << (s - tab[lo:hi])
-                w <<= s
-                w -= move
-                p[lo + 1 : hi + 1] += move
-                scale <<= s
-            else:
-                if span != (lo, hi):
-                    span = lo, hi
-                    w, q, mw = p[lo : hi + 1], tab[lo : hi + 1], m[lo : hi + 1]
-                    w1, m0 = w[1:], mw[:-1]
-                mul(w, q, mw)  # move = w * q
-                sub(w, mw, w)  # stay = w - move
-                add(w1, m0, w1)  # stay[j] + move[j - 1]
+                more = [params.scan_length(k) for k in range(tab.size, cap)]
+                tab = np.concatenate((tab, np.array(more, dtype=object)))
+                p = np.concatenate((p, np.zeros(cap - p.size, dtype=object)))
+            s, w = tab[hi - 1], p[lo:hi]
+            move = w << (s - tab[lo:hi])
+            w <<= s
+            w -= move
+            p[lo + 1 : hi + 1] += move
+            scale <<= s
             hi += 1  # the new top; the window holds all the mass, so trims never cross
-            while pv[hi - 1] == 0:
+            while p[hi - 1] == 0:
                 hi -= 1
-            while pv[lo] <= floor:
+            while p[lo] == 0:
                 lo += 1
         n = c
         yield c, lo, p[lo:hi], scale
+
+
+def _float_windows(params: CounterParams, checkpoints: Sequence[int]) -> Iterator[tuple]:
+    """The float walk: doubles stepped in place on views that rarely move.
+
+    p and the per-state table of q_k are indexed by state k and grow by
+    doubling.  Dead states are held at 0.0: p is zero outside the live
+    window [lo, hi), since a bottom state is zeroed as lo passes it.  A zero
+    state steps to +0.0 and sends nothing up, so a step may run over any
+    views [vlo, vhi) that hold the window and its new top: three in-place
+    ufuncs on views of p, q and a scratch array, and one bottom test.  The
+    top grows at most one state a step, so a run of vhi - hi steps stays
+    inside the views, and hi is found once per run by scanning down over
+    zeros.  The views move only when the window nears one of their ends.
+    """
+    n, lo, hi, vlo, vhi = 0, 0, 1, 0, 0
+    floor, mul, sub, add = _FLOAT_FLOOR, np.multiply, np.subtract, np.add
+    p, tab = np.ones(1), np.zeros(0)
+    for c in checkpoints:
+        while n < c:
+            if vhi - hi < _MARGIN // 2 or lo - vlo >= _MARGIN:
+                vlo, vhi = lo, hi + _MARGIN
+                if vhi > p.size:
+                    cap = max(2 * p.size, vhi)
+                    tab = np.concatenate((tab, _transition_probs(params, tab.size, cap)))
+                    p = np.concatenate((p, np.zeros(cap - p.size)))
+                    m, pv = np.empty(cap), memoryview(p)  # pv reads floats, not numpy scalars
+                w, q, mw = p[vlo:vhi], tab[vlo:vhi], m[vlo:vhi]
+                w1, m0 = w[1:], mw[:-1]
+            run = min(c - n, vhi - hi)
+            for _ in range(run):
+                mul(w, q, mw)  # move = w * q
+                sub(w, mw, w)  # stay = w - move
+                add(w1, m0, w1)  # stay[j] + move[j - 1]
+                while pv[lo] <= floor:
+                    pv[lo] = 0.0
+                    lo += 1
+            n += run
+            hi += run  # the top grows at most one state a step
+            while pv[hi - 1] == 0:
+                hi -= 1
+        yield c, lo, p[lo:hi], 1.0
 
 
 def _sweep(params: CounterParams, checkpoints, mode: str) -> Iterator[tuple]:

@@ -6,6 +6,7 @@ import decimal
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fpcount import (
@@ -22,6 +23,7 @@ from fpcount import (
     variance_fn,
     variance_series,
 )
+from fpcount.chain import _transition_probs
 
 MORRIS = CounterParams.morris()
 FP2 = CounterParams.fp(2)
@@ -88,6 +90,25 @@ class TestTransitionProb:
     def test_negative_state_rejected(self):
         with pytest.raises(ValueError):
             transition_prob(MORRIS, -1)
+
+    @pytest.mark.parametrize(
+        "params",
+        [MORRIS, *map(CounterParams.fp, range(13)), *map(CounterParams.qary, range(1, 65))],
+        ids=str,
+    )
+    def test_vector_table_is_the_scalar_probability(self, params):
+        # every state from 0 for short prefixes, then bands around the
+        # exponents where 2**-t turns subnormal (1023) and rounds to 0.0
+        # (1075), each band entered mid-range as the oracle's growth does
+        step = params.r or 1 << (params.d or 0)
+        starts = [0, step - 1, 1021 * step, 1073 * step - 1, 1075 * step + 1]
+        for start in starts:
+            stop = start + 3 * step + 2
+            table = _transition_probs(params, start, stop)
+            scalar = np.array([float(transition_prob(params, k)) for k in range(start, stop)])
+            assert table.dtype == scalar.dtype
+            assert table.tobytes() == scalar.tobytes()
+        assert table[-1] == 0.0
 
 
 class TestEstimate:

@@ -28,6 +28,7 @@ from fpcount import (
     expected_bits,
     expected_estimate,
     estimator_variance,
+    log_checkpoints,
     step_distribution,
     sweep_moments,
     transition_prob,
@@ -116,6 +117,20 @@ def assert_windows_pinned(params, checkpoints, exact):
     assert yields == len(cps)
 
 
+def around_moves(params, n):
+    """Float checkpoints at each step around every move of the reference window.
+
+    The walker's views move only after its window does, so every view move
+    lies inside one of these clusters, between long runs of steps.
+    """
+    cps, span = {n}, None
+    for m, lo, w, _ in reference_windows(params, n, False):
+        if (lo, w.size) != span:
+            span = lo, w.size
+            cps.update(c for c in (m - 1, m, m + 1) if 0 <= c <= n)
+    return sorted(cps)
+
+
 @st.composite
 def window_walks(draw):
     """(params, checkpoints, exact): n <= 5000 floats, shorter exact walks."""
@@ -149,12 +164,23 @@ def test_in_place_windows_match_the_reference_bytes(walk):
         (Q16, 5000, False),  # q_k not dyadic: w - w*q differs from w*(1 - q)
         (MORRIS, 140, True),  # exact windows hold n + 1 states
         (CounterParams.fp(8), 300, True),
+        (CounterParams.fp(8), 20000, False),  # lo drifts past many view moves
+        # checkpoint lists in place of n: long runs between sparse yields
+        pytest.param(Q16, log_checkpoints(10**5), False, id="qary16-log_checkpoints-1e5"),
+        pytest.param(MORRIS, around_moves(MORRIS, 5000), False, id="morris-around-moves-5000"),
+        pytest.param(
+            CounterParams.fp(0), around_moves(CounterParams.fp(0), 5000), False,
+            id="fp0-around-moves-5000",
+        ),
     ],
     ids=str,
 )
 def test_in_place_windows_cross_the_growth_points(params, n, exact):
-    cps = [0, 63, 64, 65, 127, 128, 129, 255, 256, 257, n // 2, n, n]
-    assert_windows_pinned(params, [c for c in cps if c <= n], exact)
+    if isinstance(n, list):
+        cps = n
+    else:
+        cps = [c for c in [0, 63, 64, 65, 127, 128, 129, 255, 256, 257, n // 2, n, n] if c <= n]
+    assert_windows_pinned(params, cps, exact)
 
 
 def test_exact_walker_allocates_nothing_sized_by_n():
@@ -163,6 +189,19 @@ def test_exact_walker_allocates_nothing_sized_by_n():
     try:
         walk = _windows(FP4, [0, 10**6], exact=True)
         next(walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    walk.close()
+    assert peak < 2**20
+
+
+def test_float_walker_allocates_nothing_sized_by_n():
+    # the q table and views follow the window, never the last checkpoint
+    tracemalloc.start()
+    try:
+        walk = _windows(FP4, [0, 5000, 10**6], exact=False)
+        assert [next(walk)[0], next(walk)[0]] == [0, 5000]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
