@@ -65,22 +65,21 @@ def simulate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run `seeds.size` trajectories to the last of `checkpoints`.
 
-    `checkpoints` are increasing update counts in 1..n_max.  Returns
-    (states, bits, estimates), each shaped (len(checkpoints), seeds.size);
+    `checkpoints` are sorted, distinct ints in 1..n_max (``chain._update_counts``).
+    Returns (states, bits, estimates), each shaped (len(checkpoints), seeds.size);
     `bits` is the exact count of stream bits consumed up to the checkpoint.
     The outputs do not depend on which kernels run.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-    cps = [int(c) for c in checkpoints]
-    states = np.zeros((len(cps), seeds.size), dtype=np.uint64)
+    states = np.zeros((len(checkpoints), seeds.size), dtype=np.uint64)
     bits = np.zeros_like(states)
-    if cps:
+    if checkpoints:
         vector = seeds.size >= _VECTOR_MIN
         if params.family is Family.QARY:
             kernel = _qary_updates if vector else _qary_trajectory
         else:
             kernel = _scan_rounds if vector else _scan_trajectory
-        kernel(params, seeds, cps, states, bits)
+        kernel(params, seeds, checkpoints, states, bits)
     held = np.zeros(int(states.max(initial=0)) + 1, dtype=bool)
     held[states] = True
     table = np.zeros(held.size)

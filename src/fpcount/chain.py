@@ -32,6 +32,7 @@ range raise :class:`CounterRangeError` instead of returning inf.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -152,6 +153,21 @@ class CounterParams:
 def _require_state(k: int) -> None:
     if k < 0:
         raise ValueError(f"state must be nonnegative, got {k}")
+
+
+def _update_counts(values, first: int, last: float = math.inf) -> list[int]:
+    """The one checkpoint rule: `values` as sorted, distinct ints in first..last."""
+    counts = set()
+    for v in values:
+        try:
+            counts.add(operator.index(v))
+        except TypeError:
+            raise ValueError(f"update count {v!r} is not an integer") from None
+    counts = sorted(counts)
+    for c in counts[:1] + counts[-1:]:
+        if not first <= c <= last:
+            raise ValueError(f"update count {c} is outside {first}..{last}")
+    return counts
 
 
 def transition_prob(params: CounterParams, k: int) -> Fraction | float:

@@ -14,8 +14,8 @@ identical flags produce byte-identical output.  Exit codes: 0 success,
 2 usage error, 3 numeric range failure.  argparse checks syntax only, and
 its errors print the usage line; the library owns every value range.
 Inputs it rejects (a ``ValueError``) or that exhaust memory print the one
-line ``fpcount: error: <message>`` with no usage line, except that a bad
-``--d`` or ``--r`` is resolved at parse time and keeps the usage line.
+line ``fpcount: error: <message>``: after the usage line for a bad ``--d``,
+``--r`` or ``--checkpoints``, which resolve at parse time, and alone otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import math
 import sys
 
-from .chain import CounterParams, Family, accuracy_limits
+from .chain import CounterParams, Family, _update_counts, accuracy_limits
 from .ensemble import linear_checkpoints, log_checkpoints, run_ensemble, run_trajectory
 from .oracle import MODE_EXACT, MODE_FLOAT, expected_bits, sweep_moments
 
@@ -115,31 +115,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_params(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    family = Family(args.counter)
-    needs = {Family.FP: "d", Family.QARY: "r"}.get(family)
+def _resolve_params(args: argparse.Namespace) -> CounterParams:
+    needs = {"fp": "d", "qary": "r"}.get(args.counter)
     if needs and getattr(args, needs) is None:
-        parser.error(f"--counter {args.counter} requires --{needs}")
-    try:
-        return CounterParams(family, d=args.d, r=args.r)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError(f"--counter {args.counter} requires --{needs}")
+    return CounterParams(Family(args.counter), d=args.d, r=args.r)
 
 
-def _resolve_checkpoints(
-    parser: argparse.ArgumentParser, spec: str, n_max: int
-) -> list[int]:
+def _resolve_checkpoints(spec: str, n_max: int) -> list[int]:
     if spec == "log":
         return log_checkpoints(n_max)
     if spec == "linear":
         return linear_checkpoints(n_max)
     try:
-        cps = sorted({int(part) for part in spec.split(",") if part.strip()})
+        cps = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
-        parser.error(f"cannot parse checkpoints {spec!r}")
-    if not cps or cps[0] < 1 or cps[-1] > n_max:
-        parser.error("checkpoints must be update counts in 1..n")
-    return cps
+        cps = []
+    if not cps:
+        raise ValueError(f"cannot parse checkpoints {spec!r}")
+    return _update_counts(cps, 1, n_max)
 
 
 # built on the first parse, not at import; argparse keeps no state between parses
@@ -147,14 +141,20 @@ _parser = functools.cache(build_parser)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse `argv`; `params`, `checkpoints` and `seed` (mod 2**64) resolve in place."""
+    """Parse `argv`; `params`, `checkpoints` and `seed` (mod 2**64) resolve in place.
+
+    A value the library refuses while they resolve prints the usage line.
+    """
     parser = _parser()
     args = parser.parse_args(argv)
-    args.params = _resolve_params(parser, args)
+    try:
+        args.params = _resolve_params(args)
+        if hasattr(args, "checkpoints"):
+            args.checkpoints = _resolve_checkpoints(args.checkpoints, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     if hasattr(args, "seed"):
         args.seed %= 2**64
-    if hasattr(args, "checkpoints"):
-        args.checkpoints = _resolve_checkpoints(parser, args.checkpoints, args.n)
     if args.command == "table-demo" and args.params.family is not Family.FP:
         parser.error("table-demo packs fp counters: use --counter fp --d D")
     return args

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _engine
-from .chain import CounterParams
+from .chain import CounterParams, _update_counts
 from .randbits import child_seed
 
 # Nothing here calls these; they stay ensemble attributes because the
@@ -42,34 +42,16 @@ __all__ = [
 
 
 def log_checkpoints(n_max: int) -> list[int]:
-    """Powers of two up to n_max, plus n_max itself."""
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    cps = set()
-    j = 1
-    while j <= n_max:
-        cps.add(j)
-        j *= 2
-    cps.add(n_max)
-    return sorted(cps)
+    """Powers of two below n_max, then n_max itself (an integer >= 1)."""
+    (n_max,) = _update_counts([n_max], 1)
+    return [1 << j for j in range((n_max - 1).bit_length())] + [n_max]
 
 
 def linear_checkpoints(n_max: int, count: int = 16) -> list[int]:
-    """`count` (at most) evenly spaced checkpoints ending at n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    cps = {max(1, round(n_max * i / count)) for i in range(1, count + 1)}
-    cps.add(n_max)
-    return sorted(cps)
-
-
-def _validated_checkpoints(checkpoints: Sequence[int], n_max: int) -> list[int]:
-    cps = [int(c) for c in checkpoints]
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
-    if cps and (cps[0] < 1 or cps[-1] > n_max):
-        raise ValueError("checkpoints must lie in 1..n_max")
-    return cps
+    """`count` (at most) evenly spaced checkpoints ending at n_max; both ints >= 1."""
+    (count,) = _update_counts([count], 1)
+    cps = [max(1, round(n_max * i / count)) for i in range(1, count)]
+    return _update_counts([*cps, n_max], 1)
 
 
 @dataclass(frozen=True)
@@ -88,14 +70,14 @@ def run_trajectory(
 ) -> list[TrajectoryPoint]:
     """Simulate one counter for n_max updates, sampling at checkpoints.
 
-    Deterministic given the seed mod 2**64; updates after the last
-    checkpoint cannot be observed and are skipped.  ``_engine.simulate``
+    Checkpoints are integers, sorted and deduplicated by the library, in
+    1..n_max.  Deterministic given the seed mod 2**64; updates after the
+    last checkpoint cannot be observed and are skipped.  ``_engine.simulate``
     runs the one seed, consuming the stream exactly as a loop of
     :func:`fpcount.counters.increment` on ``BitSource(seed)`` would.
     """
-    cps = _validated_checkpoints(checkpoints, n_max)
-    if not cps:
-        return []
+    (n_max,) = _update_counts([n_max], 1)
+    cps = _update_counts(checkpoints, 1, n_max)
     seeds = np.array([seed % 2**64], dtype=np.uint64)
     states, _, estimates = _engine.simulate(params, n_max, seeds, cps)
     return [
@@ -163,16 +145,17 @@ def run_ensemble(
     Replicate i consumes the canonical stream for
     child_seed(seed, first_replicate + i); splitting a run into blocks
     over disjoint `first_replicate` ranges and merging the reports
-    reproduces the single-pass report exactly.
+    reproduces the single-pass report exactly.  Checkpoints (default
+    :func:`log_checkpoints`) are read as by :func:`run_trajectory`.
     """
     if replicates < 2:
         raise ValueError("an ensemble needs at least 2 replicates")
+    (n_max,) = _update_counts([n_max], 1)
     if checkpoints is None:
-        cps = log_checkpoints(n_max)
-    else:
-        cps = _validated_checkpoints(checkpoints, n_max)
-        if not cps:
-            raise ValueError("an ensemble needs at least one checkpoint")
+        checkpoints = log_checkpoints(n_max)
+    cps = _update_counts(checkpoints, 1, n_max)
+    if not cps:
+        raise ValueError("an ensemble needs at least one checkpoint")
     seeds = np.array(
         [child_seed(seed, first_replicate + i) for i in range(replicates)],
         dtype=np.uint64,

@@ -52,6 +52,7 @@ from .chain import (
     CounterParams,
     Family,
     _transition_probs,
+    _update_counts,
     estimate,
     estimate_float,
     variance_fn,
@@ -206,9 +207,7 @@ def _sweep(params: CounterParams, checkpoints, mode: str) -> Iterator[tuple]:
 
     p[n][lo + j] = weights[j] / scale, in increasing n.
     """
-    cps = sorted({int(c) for c in checkpoints})
-    if cps and cps[0] < 0:
-        raise ValueError(f"update counts must be nonnegative, got {cps[0]}")
+    cps = _update_counts(checkpoints, 0)
     if mode not in (MODE_EXACT, MODE_FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_EXACT and params.family is Family.QARY:
@@ -260,8 +259,8 @@ def _dist_moments(dist: StepDistribution, params: CounterParams) -> MomentRecord
 def step_distribution(
     params: CounterParams, n: int, mode: str = MODE_FLOAT
 ) -> StepDistribution:
-    """Distribution of the state after exactly n updates."""
-    ((_, lo, weights, scale),) = _sweep(params, [n], mode)
+    """Distribution of the state after exactly n updates, an integer >= 0."""
+    ((n, lo, weights, scale),) = _sweep(params, [n], mode)
     if mode == MODE_EXACT:
         probs = [Fraction(0)] * (n + 1)
         probs[lo : lo + len(weights)] = [Fraction(w, scale) for w in weights]
@@ -293,6 +292,7 @@ def sweep_moments(
 
     Far cheaper than calling step_distribution per checkpoint: the DP
     runs once and moment sums are taken over the live window only.
+    Checkpoints are integers >= 0, sorted and deduplicated by the library.
     """
     records: list[MomentRecord] = []
     f_vals: list = []
@@ -338,7 +338,7 @@ def _scan_costs(t: int, as_float: bool) -> tuple:
 
 
 def expected_bits(params: CounterParams, n: int, mode: str = MODE_FLOAT) -> BitCost:
-    """Expected number of random bits consumed by update n+1.
+    """Expected number of random bits consumed by update n+1, n an integer >= 0.
 
     Defined for the bit-scan families (morris, fp); a qary update always
     draws exactly 53 bits, so the question only has content here.

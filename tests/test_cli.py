@@ -17,6 +17,7 @@ from fpcount import (
     CounterTable,
     log_checkpoints,
     run_ensemble,
+    run_trajectory,
     sweep_moments,
 )
 from fpcount.cli import build_parser, main, parse_args
@@ -60,6 +61,10 @@ class TestParsing:
             ["table-demo", "--counter", "morris"],
             ["ensemble", "--counter", "fp", "--d", "4", "--n", "10"],  # no replicates
             ["bits", "--counter", "fp", "--d", "4", "--n", "0"],
+            ["trajectory", "--counter", "fp", "--d", "4", "--n", "10",
+             "--checkpoints", ","],
+            ["trajectory", "--counter", "fp", "--d", "4", "--n", "10",
+             "--checkpoints", "3,x"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -293,6 +298,12 @@ class TestFailurePaths:
                 lambda: CounterTable(8, 4, 0),
                 id="width-0",
             ),
+            pytest.param(
+                ["trajectory", "--counter", "fp", "--d", "4", "--n", "10",
+                 "--checkpoints", "5,11"],
+                lambda: run_trajectory(CounterParams.fp(4), 10, 1, [5, 11]),
+                id="checkpoints-11",
+            ),
         ],
     )
     def test_value_ranges_fail_with_the_library_message(self, argv, library_call):
@@ -305,7 +316,7 @@ class TestFailurePaths:
         assert proc.stdout == b""
         assert not any(line.startswith("Traceback") for line in err)
         assert err[-1] == f"fpcount: error: {excinfo.value}"
-        if argv[0] == "trajectory":  # --d and --r resolve at parse time
+        if argv[0] == "trajectory":  # --d, --r and --checkpoints resolve at parse time
             assert err[0].startswith("usage: fpcount")
         else:
             assert len(err) == 1

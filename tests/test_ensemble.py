@@ -43,19 +43,42 @@ class TestCheckpointHelpers:
         assert log_checkpoints(1) == [1]
         with pytest.raises(ValueError):
             log_checkpoints(0)
+        with pytest.raises(ValueError, match="update count 10.5 is not an integer"):
+            log_checkpoints(10.5)
 
     def test_linear_checkpoints(self):
         assert linear_checkpoints(1600) == [100 * i for i in range(1, 17)]
         assert linear_checkpoints(5)[-1] == 5
         assert linear_checkpoints(33, count=3) == [11, 22, 33]
+        # past 2**53 the float i/count points round, but the last is n_max
+        assert linear_checkpoints(2**60 + 1, 4)[-2:] == [3 * 2**58, 2**60 + 1]
+        # `count` bounds the number returned, so it is an integer >= 1
+        for count in (0, -4):
+            with pytest.raises(ValueError, match=f"update count {count} is outside"):
+                linear_checkpoints(33, count)
+        with pytest.raises(ValueError, match="update count 2.5 is not an integer"):
+            linear_checkpoints(33, 2.5)
+        with pytest.raises(ValueError, match="update count 10.5 is not an integer"):
+            linear_checkpoints(10.5)
 
     def test_checkpoint_validation(self):
-        with pytest.raises(ValueError):
-            run_trajectory(FP4, 10, 1, [3, 3])
-        with pytest.raises(ValueError):
+        # the library sorts and deduplicates; it refuses non-integers and
+        # counts outside 1..n_max, naming the one value it refuses
+        assert run_trajectory(FP4, 10, 1, [5, 3, 5]) == run_trajectory(FP4, 10, 1, [3, 5])
+        with pytest.raises(ValueError, match="update count 0 is outside 1..10"):
             run_trajectory(FP4, 10, 1, [0, 5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="update count 11 is outside 1..10"):
             run_trajectory(FP4, 10, 1, [5, 11])
+        with pytest.raises(ValueError, match="update count 2.5 is not an integer"):
+            run_trajectory(FP4, 10, 1, [2.5])
+        with pytest.raises(ValueError, match="update count '3' is not an integer"):
+            run_trajectory(FP4, 10, 1, ["3"])
+        with pytest.raises(ValueError, match="update count 10.5 is not an integer"):
+            run_trajectory(FP4, 10.5, 1, [5])
+        with pytest.raises(ValueError, match="update count 10.5 is not an integer"):
+            run_ensemble(FP4, 10.5, 2, 1)
+        with pytest.raises(ValueError, match="update count 0 is outside"):
+            run_trajectory(FP4, 0, 1, [])
 
 
 class TestTrajectory:

@@ -352,8 +352,17 @@ class TestSweepMoments:
         assert sweep_moments(MORRIS, [], MODE_EXACT) == []
         recs = sweep_moments(MORRIS, [5, 2, 5], MODE_EXACT)  # deduped, sorted
         assert [r.n for r in recs] == [2, 5]
+        recs = sweep_moments(MORRIS, [np.int64(5), 2], MODE_EXACT)  # numpy ints pass
+        assert [(r.n, type(r.n)) for r in recs] == [(2, int), (5, int)]
         with pytest.raises(ValueError):
             sweep_moments(MORRIS, [-2], MODE_EXACT)
+        # counts are integers: a float is refused by name, not truncated
+        with pytest.raises(ValueError, match="update count 2.7 is not an integer"):
+            sweep_moments(FP4, [2.7])
+        with pytest.raises(ValueError, match="update count 3.5 is not an integer"):
+            step_distribution(FP4, 3.5)
+        with pytest.raises(ValueError, match="update count 2.5 is not an integer"):
+            expected_bits(FP4, 2.5)
 
     def test_accuracy_property(self):
         rec = sweep_moments(MORRIS, [3], MODE_EXACT)[0]

@@ -31,6 +31,10 @@
   ``counters.increment`` loop over each replicate's stream is the
   reference of each kernel on its own, for states, consumed bits and
   estimates.
+* Update counts go through one rule that sorts and deduplicates them:
+  ``run_trajectory``, ``run_ensemble`` (per-seed and vector kernels),
+  ``sweep_moments`` and the CLI's ``--checkpoints`` given a shuffled
+  list with repeats equal the same call on the sorted distinct list.
 * The qary closed forms ``estimate`` and ``variance_fn`` round an
   exponent of size k/r; 50-digit ``decimal`` values are their reference.
   The exact morris and fp closed forms have the defining series
@@ -41,7 +45,9 @@
   reference, and below it the float equals the exact int rounded.
 """
 
+import contextlib
 import decimal
+import io
 import struct
 from unittest import mock
 
@@ -59,11 +65,14 @@ from fpcount import (
     estimate_float,
     increment,
     new_counter,
+    run_ensemble,
     run_trajectory,
+    sweep_moments,
     variance_fn,
 )
 from fpcount._engine import _VECTOR_MIN, simulate
 from fpcount.chain import CounterRangeError, estimate_series, variance_series
+from fpcount.cli import main
 from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import (
     MAX_SCAN,
@@ -523,6 +532,39 @@ def test_trajectory_matches_scalar_loop(run):
         assert [(p.n, p.k, p.estimate) for p in points] == [
             (m, k, estimate_float(params, k)) for m, (k, _) in zip(cps, want)
         ]
+
+
+@st.composite
+def shuffled_counts(draw):
+    """(params, n, a list of ints in 1..n with repeats, in any order)."""
+    params = draw(
+        st.sampled_from([CounterParams.morris(), CounterParams.fp(3), CounterParams.qary(4)])
+    )
+    n = draw(st.integers(1, 300))
+    return params, n, draw(st.lists(st.integers(1, n), min_size=1, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=shuffled_counts(), seed=st.integers(0, 2**64 - 1))
+def test_update_counts_are_sorted_and_deduplicated(run, seed):
+    params, n, cps = run
+    ordered = sorted(set(cps))
+    assert run_trajectory(params, n, seed, cps) == run_trajectory(params, n, seed, ordered)
+    for reps in (2, _VECTOR_MIN):  # the per-seed kernels, then the vector ones
+        a, b = (run_ensemble(params, n, reps, seed, c) for c in (cps, ordered))
+        assert a.checkpoints == b.checkpoints == tuple(ordered)
+        for field in ("states", "estimates", "bits"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert sweep_moments(params, cps) == sweep_moments(params, ordered)
+    flags = {"fp": ["--d", "3"], "qary": ["--r", "4"]}.get(params.family.value, [])
+    argv = ["trajectory", "--counter", params.family.value, *flags, "--n", str(n)]
+    outs = []
+    for spec in (cps, ordered):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main([*argv, "--seed", str(seed), "--checkpoints", ",".join(map(str, spec))])
+        assert code == 0
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
 
 
 @settings(max_examples=200, deadline=None)
