@@ -75,8 +75,9 @@ class CounterParams:
     """Counter family plus its resolution parameter.
 
     ``fp`` takes the significand width ``d`` (modulus M = 2**d), ``qary``
-    takes ``r`` (base q = 2**(1/r)), ``morris`` takes neither.  fp with
-    d = 0 and qary with r = 1 both reduce to the morris chain.
+    takes ``r`` (base q = 2**(1/r)), ``morris`` takes neither; each is
+    stored as a Python int, d >= 0 and r >= 1.  fp with d = 0 and qary
+    with r = 1 both reduce to the morris chain.
     """
 
     family: Family
@@ -89,16 +90,14 @@ class CounterParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
         if self.family is Family.FP:
-            if self.d is None or self.d < 0:
-                raise ValueError("fp counter requires d >= 0")
             if self.r is not None:
                 raise ValueError("fp counter does not take r")
+            object.__setattr__(self, "d", _integer(self.d, "d", 0))
             object.__setattr__(self, "_shift", self.d)
         elif self.family is Family.QARY:
-            if self.r is None or self.r < 1:
-                raise ValueError("qary counter requires r >= 1")
             if self.d is not None:
                 raise ValueError("qary counter does not take d")
+            object.__setattr__(self, "r", _integer(self.r, "r", 1))
         else:
             if self.d is not None or self.r is not None:
                 raise ValueError("morris counter takes neither d nor r")
@@ -150,24 +149,32 @@ class CounterParams:
         return k >> self._shift
 
 
-def _require_state(k: int) -> None:
+def _state(k) -> int:
+    """State k as a Python int >= 0; numpy ints convert exactly."""
+    if k.__class__ is not int:
+        k = operator.index(k)
     if k < 0:
         raise ValueError(f"state must be nonnegative, got {k}")
+    return k
+
+
+def _integer(value, what: str, first: float, last: float = math.inf) -> int:
+    """The one input rule: `value` as a Python int in first..last.
+
+    numpy ints pass; a float or a string is refused by `what`, not truncated.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if not first <= n <= last:
+        raise ValueError(f"{what} {n} is outside {first}..{last}")
+    return n
 
 
 def _update_counts(values, first: int, last: float = math.inf) -> list[int]:
     """The one checkpoint rule: `values` as sorted, distinct ints in first..last."""
-    counts = set()
-    for v in values:
-        try:
-            counts.add(operator.index(v))
-        except TypeError:
-            raise ValueError(f"update count {v!r} is not an integer") from None
-    counts = sorted(counts)
-    for c in counts[:1] + counts[-1:]:
-        if not first <= c <= last:
-            raise ValueError(f"update count {c} is outside {first}..{last}")
-    return counts
+    return sorted({_integer(v, "update count", first, last) for v in values})
 
 
 def transition_prob(params: CounterParams, k: int) -> Fraction | float:
@@ -177,7 +184,7 @@ def transition_prob(params: CounterParams, k: int) -> Fraction | float:
     2**(-k/r) for qary, where q**-k is irrational for r > 1 and k not a
     multiple of r; the float type flags the inexactness.
     """
-    _require_state(k)
+    k = _state(k)
     if params.family is Family.QARY:
         return 2.0 ** (-(k / params.r))
     return Fraction(1, 1 << params.scan_length(k))
@@ -209,10 +216,10 @@ def estimate(params: CounterParams, k: int) -> int | float:
     Float for qary: f(k) = (q**k - 1)/(q - 1), computed via expm1; the
     rounded exponent k*ln2/r puts the relative error of order k/r ulps.
     """
-    # one family test, and helpers on the error paths only; the qary value
-    # is estimate_float's, which the float reads call directly
-    if k < 0:
-        _require_state(k)
+    # one family test, and a helper only for numpy ints and negative states;
+    # the qary value is estimate_float's, which the float reads call directly
+    if k.__class__ is not int or k < 0:
+        k = _state(k)
     d = params._shift
     if d is None:
         return estimate_float(params, k)
@@ -229,7 +236,7 @@ def variance_fn(params: CounterParams, k: int) -> int | float:
     f(k)*(q**k - q)/(q + 1) = f(k)*q*expm1((k - 1)*ln2/r)/(q + 1), which
     does not cancel at small k.
     """
-    _require_state(k)
+    k = _state(k)
     d = params._shift
     if d is None:
         if not k:
@@ -252,7 +259,7 @@ def estimate_series(params: CounterParams, k: int) -> int | float:
     O(k); kept as the reference the closed form in :func:`estimate` is
     checked against.
     """
-    _require_state(k)
+    k = _state(k)
     if params.family is Family.QARY:
         r = params.r
         return math.fsum(2.0 ** (i / r) for i in range(k))
@@ -264,7 +271,7 @@ def estimate_series(params: CounterParams, k: int) -> int | float:
 
 def variance_series(params: CounterParams, k: int) -> int | float:
     """g(k) by direct summation of (1 - q_i)/q_i**2; reference for variance_fn."""
-    _require_state(k)
+    k = _state(k)
     if params.family is Family.QARY:
         r = params.r
         return math.fsum(2.0 ** (2 * i / r) - 2.0 ** (i / r) for i in range(k))
@@ -350,8 +357,8 @@ def estimate_float(params: CounterParams, k: int) -> float:
     t > 1024 is refused before the astronomically large integer is built.
     The qary closed form lives here, and :func:`estimate` returns it.
     """
-    if k < 0:
-        _require_state(k)
+    if k.__class__ is not int or k < 0:
+        k = _state(k)
     d = params._shift
     if d is None:
         r = params.r

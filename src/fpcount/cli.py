@@ -12,10 +12,12 @@ table-demo   fill a packed counter table and report per-slot estimates
 Output is CSV (default) or JSON with identical fields; reruns with
 identical flags produce byte-identical output.  Exit codes: 0 success,
 2 usage error, 3 numeric range failure.  argparse checks syntax only, and
-its errors print the usage line; the library owns every value range.
-Inputs it rejects (a ``ValueError``) or that exhaust memory print the one
-line ``fpcount: error: <message>``: after the usage line for a bad ``--d``,
-``--r`` or ``--checkpoints``, which resolve at parse time, and alone otherwise.
+its errors print the usage line; the library owns every value range, so
+``--n`` is 0 and up for oracle and bits and 1 and up otherwise.  Inputs it
+rejects (a ``ValueError``) or that exhaust memory print the one line
+``fpcount: error: <message>``: after the usage line for a bad ``--d``,
+``--r``, ``--checkpoints`` or a trajectory or ensemble ``--n``, which
+resolve at parse time, and alone otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import math
 import sys
 
-from .chain import CounterParams, Family, _update_counts, accuracy_limits
+from .chain import CounterParams, Family, _integer, _update_counts, accuracy_limits
 from .ensemble import linear_checkpoints, log_checkpoints, run_ensemble, run_trajectory
 from .oracle import MODE_EXACT, MODE_FLOAT, expected_bits, sweep_moments
 
@@ -40,19 +42,12 @@ from .table import CounterTable
 __all__ = ["build_parser", "execute", "main", "parse_args"]
 
 
-def _positive_int(text: str) -> int:
-    # n >= 1 is the CLI's own rule: checkpoints are resolved from --n at parse time
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the six commands.
 
-    It checks syntax, and n >= 1; the library owns every other value
-    range, so each range has one error message.
+    It checks syntax only; the library owns every value range, so each
+    range has one error message: ``--n`` from 0 for oracle and bits, and
+    from 1 for the other commands.
     """
     parser = argparse.ArgumentParser(
         prog="fpcount",
@@ -78,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, spec in options.items():
             p.add_argument(f"--{flag}", **spec)
 
-    n = dict(type=_positive_int, required=True, help="number of updates")
+    n = dict(type=int, required=True, help="number of updates")
     checkpoints = dict(
         default="log", help="'log', 'linear', or comma-separated update counts"
     )
@@ -108,9 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fill a packed counter table",
         slots=dict(type=int, default=8, help="number of slots"),
         width=dict(type=int, default=8, help="bits per slot"),
-        n=dict(
-            type=_positive_int, default=1000, help="updates per slot (default 1000)"
-        ),
+        n=dict(type=int, default=1000, help="updates per slot (default 1000)"),
     )
     return parser
 
@@ -240,11 +233,12 @@ def _rows_bits(args: argparse.Namespace) -> list[dict]:
 
 
 def _rows_table_demo(args: argparse.Namespace) -> list[dict]:
+    n = _integer(args.n, "update count", 1)
     table = CounterTable(args.slots, args.params.d, args.width)
     src = BitSource(args.seed)
     rows = []
     for slot in range(args.slots):
-        for _ in range(args.n):
+        for _ in range(n):
             table.increment(slot, src)
         est = table.estimate(slot)
         rows.append(

@@ -14,13 +14,14 @@ which cannot be recovered from moments alone).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _engine
-from .chain import CounterParams, _update_counts
+from .chain import CounterParams, _integer, _update_counts
 from .randbits import child_seed
 
 # Nothing here calls these; they stay ensemble attributes because the
@@ -43,13 +44,13 @@ __all__ = [
 
 def log_checkpoints(n_max: int) -> list[int]:
     """Powers of two below n_max, then n_max itself (an integer >= 1)."""
-    (n_max,) = _update_counts([n_max], 1)
+    n_max = _integer(n_max, "update count", 1)
     return [1 << j for j in range((n_max - 1).bit_length())] + [n_max]
 
 
 def linear_checkpoints(n_max: int, count: int = 16) -> list[int]:
     """`count` (at most) evenly spaced checkpoints ending at n_max; both ints >= 1."""
-    (count,) = _update_counts([count], 1)
+    count = _integer(count, "update count", 1)
     cps = [max(1, round(n_max * i / count)) for i in range(1, count)]
     return _update_counts([*cps, n_max], 1)
 
@@ -76,9 +77,9 @@ def run_trajectory(
     runs the one seed, consuming the stream exactly as a loop of
     :func:`fpcount.counters.increment` on ``BitSource(seed)`` would.
     """
-    (n_max,) = _update_counts([n_max], 1)
+    n_max = _integer(n_max, "update count", 1)
     cps = _update_counts(checkpoints, 1, n_max)
-    seeds = np.array([seed % 2**64], dtype=np.uint64)
+    seeds = np.array([_integer(seed, "seed", -math.inf) % 2**64], dtype=np.uint64)
     states, _, estimates = _engine.simulate(params, n_max, seeds, cps)
     return [
         TrajectoryPoint(m, k, est, (est - m) / m)
@@ -148,9 +149,10 @@ def run_ensemble(
     reproduces the single-pass report exactly.  Checkpoints (default
     :func:`log_checkpoints`) are read as by :func:`run_trajectory`.
     """
-    if replicates < 2:
-        raise ValueError("an ensemble needs at least 2 replicates")
-    (n_max,) = _update_counts([n_max], 1)
+    replicates = _integer(replicates, "replicates", 2)
+    first_replicate = _integer(first_replicate, "first_replicate", 0)
+    seed = _integer(seed, "seed", -math.inf)
+    n_max = _integer(n_max, "update count", 1)
     if checkpoints is None:
         checkpoints = log_checkpoints(n_max)
     cps = _update_counts(checkpoints, 1, n_max)

@@ -151,9 +151,7 @@ def _exact_windows(params: CounterParams, checkpoints: Sequence[int]) -> Iterato
             w -= move
             p[lo + 1 : hi + 1] += move
             scale <<= s
-            hi += 1  # the new top; the window holds all the mass, so trims never cross
-            while p[hi - 1] == 0:
-                hi -= 1
+            hi += 1  # the new top takes the old top's whole weight: never 0
             while p[lo] == 0:
                 lo += 1
         n = c

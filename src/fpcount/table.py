@@ -35,7 +35,7 @@ import struct
 import sys
 from typing import NamedTuple
 
-from .chain import CounterParams, estimate_float
+from .chain import CounterParams, _integer, estimate_float
 from .randbits import BitStream
 
 _HEADER = struct.Struct("<4sHBBQQ")
@@ -66,21 +66,16 @@ class CounterTable:
     """num_slots packed fp(d) counters, width bits per slot."""
 
     def __init__(self, num_slots: int, d: int, width: int):
+        # widths from d + 1, which leaves one exponent bit, to 32
         self.params = CounterParams.fp(d)
-        if num_slots < 1:
-            raise ValueError("num_slots must be positive")
-        if width < d + 1:
-            raise ValueError("width must be at least d + 1 (one exponent bit)")
-        if width > 32:
-            raise ValueError("width must be at most 32")
+        self.d = d = self.params.d
+        self.num_slots = num_slots = _integer(num_slots, "num_slots", 1)
+        self.width = width = _integer(width, "width", d + 1, 32)
         payload_bytes = (num_slots * width + 7) >> 3
         if payload_bytes > sys.maxsize:
             raise ValueError(
                 f"{num_slots} slots x {width} bits exceed the largest possible payload"
             )
-        self.num_slots = num_slots
-        self.d = d
-        self.width = width
         self.saturation_count = 0
         self._max_value = (1 << width) - 1
         self._byte_slots = width == 8

@@ -54,6 +54,22 @@ class TestParams:
         with pytest.raises(ValueError):
             CounterParams(**kwargs)
 
+    def test_parameters_are_read_as_python_ints(self):
+        # equal params must compute alike: a numpy d would run the closed forms in int64
+        for params, want in [(CounterParams.fp(np.int64(4)), FP4),
+                             (CounterParams.qary(np.uint8(16)), Q16)]:
+            assert params == want
+            assert type(params.param_value) is int
+            assert estimate(params, 1100) == estimate(want, 1100)
+        for make, message in [
+            (lambda: CounterParams.qary(1.5), "r 1.5 is not an integer"),
+            (lambda: CounterParams.fp(4.0), "d 4.0 is not an integer"),
+            (lambda: CounterParams.fp(-1), r"d -1 is outside 0\.\.inf"),
+            (lambda: CounterParams.qary(0), r"r 0 is outside 1\.\.inf"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
+
     def test_family_coerced_from_string(self):
         assert CounterParams(family="fp", d=3).family is Family.FP
         assert str(Family.QARY) == "qary"
@@ -112,6 +128,22 @@ class TestTransitionProb:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("k", [np.uint64(70), np.int64(70), np.uint64(1000), np.uint64(1100)])
+    @pytest.mark.parametrize("params", [MORRIS, FP4, Q16], ids=str)
+    def test_numpy_states_read_exactly(self, params, k):
+        # report states are uint64, whose arithmetic wraps where an int grows
+        for read in (estimate, estimate_float, variance_fn, transition_prob):
+            try:
+                want = read(params, int(k))
+            except CounterRangeError:
+                with pytest.raises(CounterRangeError):
+                    read(params, k)
+                continue
+            got = read(params, k)
+            assert got == want and type(got) is type(want)
+        if params is FP4 and k == 1100:
+            assert estimate(params, k) == 8264141345021879123952
+
     def test_fp_pins(self):
         # d=2: k=5 is exponent 1, significand 1 -> (4+1)*2 - 4 = 6
         assert estimate(FP2, 5) == 6

@@ -15,6 +15,8 @@ from fpcount import (
     MODE_FLOAT,
     CounterParams,
     CounterTable,
+    expected_bits,
+    linear_checkpoints,
     log_checkpoints,
     run_ensemble,
     run_trajectory,
@@ -48,6 +50,12 @@ class TestParsing:
         )
         assert config.checkpoints == [3, 9, 27]
 
+    def test_linear_checkpoints(self, capsys):
+        argv = ["trajectory", "--counter", "fp", "--d", "4", "--n", "1000"]
+        assert main([*argv, "--checkpoints", "linear"]) == 0
+        rows = rows_of(capsys.readouterr().out.encode())
+        assert [int(r["n"]) for r in rows] == linear_checkpoints(1000)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -60,7 +68,7 @@ class TestParsing:
              "--checkpoints", "5,11"],
             ["table-demo", "--counter", "morris"],
             ["ensemble", "--counter", "fp", "--d", "4", "--n", "10"],  # no replicates
-            ["bits", "--counter", "fp", "--d", "4", "--n", "0"],
+            ["trajectory", "--counter", "fp", "--d", "4", "--n", "0"],
             ["trajectory", "--counter", "fp", "--d", "4", "--n", "10",
              "--checkpoints", ","],
             ["trajectory", "--counter", "fp", "--d", "4", "--n", "10",
@@ -127,6 +135,15 @@ class TestCommands:
         row = rows_of(proc.stdout)[0]
         assert float(row["mean"]) == 2.0
         assert float(row["variance"]) == 1.0
+
+    def test_bits_at_n_0_is_the_library_row(self, capsys):
+        # the oracle commands take --n from 0, where no update has scanned
+        assert main(["bits", "--counter", "fp", "--d", "4", "--n", "0"]) == 0
+        cost = expected_bits(CounterParams.fp(4), 0)
+        assert cost == (0.0, 0.0)
+        assert capsys.readouterr().out == (
+            "family,param,n,expected_bits,alt_expected_bits\nfp,4,0,0.0,0.0\n"
+        )
 
     def test_bits_worked_example(self):
         proc = run_cli("bits", "--counter", "fp", "--d", "0", "--n", "2")
@@ -237,7 +254,7 @@ class TestFailurePaths:
             ),
             pytest.param(
                 ["table-demo", "--counter", "fp", "--d", "6", "--width", "6"],
-                "width must be at least d + 1 (one exponent bit)",
+                "width 6 is outside 7..32",
                 id="table-demo-width-6",
             ),
             pytest.param(
@@ -247,13 +264,28 @@ class TestFailurePaths:
             ),
             pytest.param(
                 ["ensemble", "--counter", "fp", "--d", "4", "--n", "10", "--replicates", "1"],
-                "an ensemble needs at least 2 replicates",
+                "replicates 1 is outside 2..inf",
                 id="ensemble-1-replicate",
             ),
             pytest.param(
                 ["table-demo", "--counter", "fp", "--d", "4", "--width", "40"],
-                "width must be at most 32",
+                "width 40 is outside 5..32",
                 id="table-demo-width-40",
+            ),
+            pytest.param(
+                ["oracle", "--counter", "fp", "--d", "4", "--n", "0"],
+                "accuracy is undefined at n = 0",
+                id="oracle-n-0",
+            ),
+            pytest.param(
+                ["oracle", "--counter", "fp", "--d", "4", "--n", "-1"],
+                "update count -1 is outside 0..inf",
+                id="oracle-n--1",
+            ),
+            pytest.param(
+                ["table-demo", "--counter", "fp", "--d", "4", "--n", "0"],
+                "update count 0 is outside 1..inf",
+                id="table-demo-n-0",
             ),
             pytest.param(
                 ["table-demo", "--counter", "fp", "--d", "4", "--slots", str(2**63)],
@@ -303,6 +335,11 @@ class TestFailurePaths:
                  "--checkpoints", "5,11"],
                 lambda: run_trajectory(CounterParams.fp(4), 10, 1, [5, 11]),
                 id="checkpoints-11",
+            ),
+            pytest.param(
+                ["trajectory", "--counter", "fp", "--d", "4", "--n", "0"],
+                lambda: run_trajectory(CounterParams.fp(4), 0, 1, []),
+                id="trajectory-n-0",
             ),
         ],
     )

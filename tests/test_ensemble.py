@@ -13,6 +13,7 @@ import pytest
 
 from fpcount import (
     CounterParams,
+    estimate,
     estimate_float,
     increment,
     linear_checkpoints,
@@ -21,6 +22,8 @@ from fpcount import (
     new_counter,
     run_ensemble,
     run_trajectory,
+    transition_prob,
+    variance_fn,
 )
 from fpcount._engine import _VECTOR_MIN
 from fpcount.randbits import BitSource, child_seed
@@ -174,8 +177,37 @@ class TestEnsembleReport:
         assert report.states.shape == (len(report.checkpoints), 6)
 
     def test_needs_two_replicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^replicates 1 is outside 2\.\.inf$"):
             run_ensemble(FP4, 10, 1, seed=1)
+
+    def test_needs_a_checkpoint(self):
+        with pytest.raises(ValueError, match="an ensemble needs at least one checkpoint"):
+            run_ensemble(FP4, 10, 2, seed=1, checkpoints=[])
+
+    def test_integer_inputs_are_read_by_the_rule(self):
+        # numpy ints are read as ints; a float is refused by name, not truncated
+        a = run_ensemble(FP4, 64, np.int64(3), np.uint64(5), first_replicate=np.int8(2))
+        b = run_ensemble(FP4, 64, 3, 5, first_replicate=2)
+        assert np.array_equal(a.states, b.states) and np.array_equal(a.bits, b.bits)
+        for kwargs, message in [
+            (dict(replicates=2.5), "replicates 2.5 is not an integer"),
+            (dict(seed=1.5), "seed 1.5 is not an integer"),
+            (dict(first_replicate=-1), r"first_replicate -1 is outside 0\.\.inf"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run_ensemble(FP4, 10, **{"replicates": 2, "seed": 1, **kwargs})
+        with pytest.raises(ValueError, match="^seed 1.5 is not an integer$"):
+            run_trajectory(FP4, 10, 1.5, [5])
+        assert run_trajectory(FP4, 64, np.uint64(5), [64]) == run_trajectory(FP4, 64, 5, [64])
+
+    @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
+    def test_report_states_read_raw_or_as_int(self, params):
+        # states are uint64; the closed forms read each element as its int
+        report = run_ensemble(params, 256, 8, seed=3)
+        for k in report.states.ravel():
+            for read in (estimate, estimate_float, variance_fn, transition_prob):
+                assert read(params, k) == read(params, int(k))
+                assert type(read(params, k)) is type(read(params, int(k)))
 
     def test_stats_against_numpy(self):
         report = run_ensemble(FP4, 2048, 40, seed=11, checkpoints=[512, 2048])

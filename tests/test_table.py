@@ -4,12 +4,13 @@ saturation accounting, and the versioned snapshot format."""
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from fpcount import CounterParams, CounterTable, SlotEstimate, estimate_float
 from fpcount.chain import CounterRangeError
 from fpcount.randbits import BitSource, ScriptedBitSource
-from fpcount.table import _slot_estimate
+from fpcount.table import _byte_reads, _slot_estimate
 
 WIDTHS = [5, 6, 8, 12, 16]
 
@@ -21,17 +22,32 @@ def test_starts_zeroed():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        CounterTable(0, 2, 8)
-    with pytest.raises(ValueError):
-        CounterTable(4, -1, 8)
-    with pytest.raises(ValueError):
-        CounterTable(4, 4, 4)  # width must leave an exponent bit
-    with pytest.raises(ValueError):
-        CounterTable(4, 2, 33)
+    # integers are read by the library's one rule, which names the input
+    for args, message in [
+        ((0, 2, 8), r"num_slots 0 is outside 1\.\.inf"),
+        ((4.0, 2, 8), "num_slots 4.0 is not an integer"),
+        ((4, -1, 8), r"d -1 is outside 0\.\.inf"),
+        ((4, 4, 4), r"width 4 is outside 5\.\.32"),  # width must leave an exponent bit
+        ((4, 2, 33), r"width 33 is outside 3\.\.32"),
+        ((4, 4, 8.0), "width 8.0 is not an integer"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CounterTable(*args)
     # a payload past sys.maxsize bytes is refused before any allocation
     with pytest.raises(ValueError, match=f"^{2**63} slots x 8 bits exceed"):
         CounterTable(2**63, 2, 8)
+
+
+def test_numpy_inputs_do_not_poison_the_shared_reads():
+    # the reads of d are cached under a key that a numpy d equals, so a
+    # table built from one must read, and leave cached, the int d's values
+    _byte_reads.cache_clear()
+    _slot_estimate.cache_clear()
+    table = CounterTable(np.int64(4), np.int64(0), np.int64(8))
+    assert [type(v) for v in (table.num_slots, table.d, table.width)] == [int] * 3
+    assert table.to_bytes() == CounterTable(4, 0, 8).to_bytes()
+    reloaded = CounterTable.from_bytes(_snapshot(0, 8, [70, 0, 0, 0]))
+    assert reloaded.estimate(0) == SlotEstimate(2.0**70 - 1, False)
 
 
 def test_payload_is_tightly_packed():
