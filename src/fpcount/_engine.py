@@ -7,54 +7,62 @@ would.  :mod:`fpcount.randbits` computes every stream block and decides
 what each step consumes; this module only runs the counters.
 
 :func:`simulate` is the one entry point, and a single trajectory is a
-run on one seed.  Each family has a per-seed kernel, which runs one
-replicate after another in Python ints and floats, and a vector kernel,
-which runs all replicates side by side in numpy arrays.  A vector round
-costs tens of microseconds however few replicates it carries, so
-:func:`simulate` runs the per-seed kernels below ``_VECTOR_MIN`` seeds.
+run on one seed.
 
-The bit-scan families (morris, fp) simulate advances, not updates.  At
-state k an update scans t = k >> d bits, so the updates between two
-advances are failed scans, and randbits skips over a run of them at
-once: the vector kernel runs rounds of ``stream_skip`` over one 64-bit
-window per replicate, and the per-seed kernel runs ``BitSource.skip``.
-Each replicate keeps its own update count and next checkpoint, and a
-run that reaches a checkpoint mid-wait stops there.  The t = 0 states
-advance for certain and read no bits, so both kernels share one step
-that applies that prefix at once.
+The bit-scan families (morris, fp) run one kernel at every seed count,
+and simulate advances, not updates.  At state k an update scans
+t = k >> d bits, and the 2**d states of an exponent level share t, so a
+level's updates are its successes and the failed scans between them.
+Each round hands ``stream_skip`` a span of blocks per replicate, sized
+from the highest t, the level's size and the scans left to the last
+checkpoint, within ``SPAN_WORDS`` blocks in all, so at most
+``SPAN_WORDS // 2`` replicates run at a time; it runs the level batches
+that fit, and reports the state and stream position at every checkpoint
+they pass.  The t = 0 states advance for certain and read no
+bits, so one step applies that prefix first.
 
 qary compares a 53-bit uniform per update and cannot skip, but its draws
 do not depend on the state: a live counter's update m reads stream bits
-[53(m - 1), 53m), so all live replicates read at the same position.
-Both kernels read the draws in chunks of about ``_DRAWS`` with
-``stream_uniforms53``, which mixes each block once.  The vector kernel
-makes each update one compare for all replicates against a table of
-q_k, grown chunk by chunk to the states the chunk can reach; the
-per-seed kernel loops over one seed's draws as Python floats, against
-q_k computed once for all its seeds.
+[53(m - 1), 53m), so all live replicates read at the same position.  It
+has a per-seed kernel, which runs one replicate after another in Python
+floats, and a vector kernel, which runs all replicates side by side in
+numpy arrays; a vector round costs tens of microseconds however few
+replicates it carries, so :func:`simulate` runs the per-seed kernel
+below ``_VECTOR_MIN`` seeds.  Both read the draws in chunks of about
+``_DRAWS`` with ``stream_uniforms53``, which mixes each block once.  The
+vector kernel makes each update one compare for all replicates against
+a table of q_k, grown chunk by chunk to the states the chunk can reach;
+the per-seed kernel loops over one seed's draws as Python floats,
+against q_k computed once for all its seeds.
 
 Counters saturate at the scalar path's ``DEFAULT_CEILING``: once there
 they stay put and consume no bits.
 
 The scalar loop and each kernel are pinned against each other by tests;
-the vector kernels exist so thousand-replicate ensembles to n = 10**5
-finish in about a second instead of hours.
+the kernels exist so thousand-replicate ensembles to n = 10**5 finish in
+about a second instead of hours.
 """
-
 from __future__ import annotations
+
+import bisect
+import math
 
 import numpy as np
 
 from .chain import CounterParams, Family, estimate_float, transition_prob
 from .counters import DEFAULT_CEILING
-from .randbits import UNIFORM_BITS, BitSource, stream_skip, stream_uniforms53
+from .randbits import SPAN_WORDS, UNIFORM_BITS, stream_skip, stream_uniforms53
 
 # qary draws per chunk, over all replicates: each chunk array stays near
 # 128 KB, so memory is bounded for any n and replicate count
 _DRAWS = 1 << 14
 _CEILING = np.uint64(DEFAULT_CEILING)
-# fewer seeds than this run one at a time (qary(2**20) crosses over near 8)
+# qary runs fewer seeds than this one at a time (qary(2**20) crosses over near 8)
 _VECTOR_MIN = 8
+# the most replicates one kernel call runs, so that a scan span holds 2
+# blocks of each within SPAN_WORDS
+_SLICE = SPAN_WORDS // 2
+_V1 = np.uint64(1)
 
 
 def simulate(
@@ -71,15 +79,20 @@ def simulate(
     The outputs do not depend on which kernels run.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-    states = np.zeros((len(checkpoints), seeds.size), dtype=np.uint64)
+    # a spare last row takes the scan rounds' writes past the checkpoints
+    states = np.zeros((len(checkpoints) + 1, seeds.size), dtype=np.uint64)
     bits = np.zeros_like(states)
     if checkpoints:
-        vector = seeds.size >= _VECTOR_MIN
-        if params.family is Family.QARY:
-            kernel = _qary_updates if vector else _qary_trajectory
+        if params.family is not Family.QARY:
+            kernel = _scan_rounds
+        elif seeds.size >= _VECTOR_MIN:
+            kernel = _qary_updates
         else:
-            kernel = _scan_rounds if vector else _scan_trajectory
-        kernel(params, seeds, checkpoints, states, bits)
+            kernel = _qary_trajectory
+        for lo in range(0, seeds.size, _SLICE):
+            hi = lo + _SLICE
+            kernel(params, seeds[lo:hi], checkpoints, states[:, lo:hi], bits[:, lo:hi])
+    states, bits = states[:-1], bits[:-1]
     held = np.zeros(int(states.max(initial=0)) + 1, dtype=bool)
     held[states] = True
     table = np.zeros(held.size)
@@ -145,27 +158,21 @@ def _qary_trajectory(params, seeds, cps, states, bits) -> None:
         states[ci:, i], bits[ci:, i] = k, UNIFORM_BITS * m
 
 
-def _scan_prefix(params, cps, states) -> tuple[int, int]:
-    # the t = 0 prefix, which reads no bits, for every replicate: returns the
-    # state and update count scans start from, and the first checkpoint to scan
-    zero = 1 << params._shift
-    start = min(zero, DEFAULT_CEILING, cps[-1])
-    ci = 0
-    while ci < len(cps) and cps[ci] <= start:
-        states[ci] = cps[ci]
-        ci += 1
+def _scan_rounds(params, seeds, cps, states, bits) -> None:
+    # the t = 0 prefix, which reads no bits, for every replicate: the state
+    # and update count scans start from, and the first checkpoint to scan
+    start = min(1 << params._shift, DEFAULT_CEILING, cps[-1])
+    ci = bisect.bisect_right(cps, start)
+    states[:ci] = np.array(cps[:ci], dtype=np.uint64)[:, None]
     if start >= DEFAULT_CEILING:
         states[ci:] = start
-        ci = len(cps)
-    return start, ci
-
-
-def _scan_rounds(params, seeds, cps, states, bits) -> None:
-    start, ci = _scan_prefix(params, cps, states)
+        return
     if ci == len(cps):
         return
     shift = np.uint64(params._shift)
-    cp_array = np.array(cps, dtype=np.uint64)
+    level = np.uint64(1 << params._shift)
+    # the checkpoints, and past them as many that no span reaches
+    goal_of = np.array(cps + [1 << 62] * len(cps), dtype=np.uint64)
     # reaching DEFAULT_CEILING takes that many updates
     ceiling = cps[-1] > DEFAULT_CEILING
     # one entry per replicate still running; `col` is its column in the output
@@ -175,39 +182,48 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
     m = k.copy()
     pos = np.zeros_like(k)
     cpi = np.full(seeds.size, ci)
-    nxt = cp_array[cpi]
     while col.size:
-        advanced, scans, used = stream_skip(sd, pos, k >> shift, nxt - m)
-        k += advanced
+        t = k >> shift
+        room = _CEILING - k
+        # a level batch ends with the level, or at the ceiling
+        quota = np.minimum((t + _V1) << shift, _CEILING) - k
+        near, far = int(m.min()), int(m.max())
+        blocks = _span_blocks(int(t.max()), 1 << params._shift, cps[-1] - near, col.size)
+        # every checkpoint the span can reach, as each scan reads a bit
+        reach = bisect.bisect_right(cps, far + 64 * blocks) - bisect.bisect_right(cps, near)
+        rows = cpi + np.arange(reach)[:, None]
+        goals = goal_of[rows] - m
+        advances, ends, scans = stream_skip(sd, pos, t, quota, room, level, goals, blocks)
+        # every goal's row is written; one the batch stopped before is
+        # written again once reached, and rows past the last go to the spare
+        np.minimum(rows, len(cps), out=rows)
+        states[rows, col] = advances[:-1] + k
+        bits[rows, col] = ends[:-1]
+        k += advances[-1]
         m += scans
-        pos += used
-        hit = m == nxt
-        if not (hit.any() or ceiling):
-            continue
-        states[cpi[hit], col[hit]] = k[hit]
-        bits[cpi[hit], col[hit]] = pos[hit]
-        cpi += hit
-        live = cpi < len(cps)
+        pos = ends[-1]
+        cpi = np.searchsorted(goal_of, m, "right")
+        live = m < goal_of[len(cps) - 1]
         if ceiling:
             # a saturated counter keeps its state and bits to the end
             for i in np.flatnonzero(live & (k >= _CEILING)):
                 states[cpi[i] :, col[i]] = k[i]
                 bits[cpi[i] :, col[i]] = pos[i]
                 live[i] = False
-        if not live.all():
+        if np.count_nonzero(live) < live.size:
             col, sd, k, m, pos, cpi = (a[live] for a in (col, sd, k, m, pos, cpi))
-        nxt = cp_array[cpi]
 
 
-def _scan_trajectory(params, seeds, cps, states, bits) -> None:
-    # the per-seed form of _scan_rounds, through BitSource.skip
-    start, first = _scan_prefix(params, cps, states)
-    for i, seed in enumerate(seeds.tolist()):
-        reader = BitSource(seed)
-        k = m = start
-        for ci, cp in enumerate(cps[first:], first):
-            while m < cp and k < DEFAULT_CEILING:
-                advanced, scans = reader.skip(params.scan_length(k), cp - m)
-                k += advanced
-                m += scans
-            states[ci, i], bits[ci, i] = k, reader.stream_position
+def _span_blocks(top: int, level: int, left: int, rows: int) -> int:
+    """Blocks per replicate for the next round.
+
+    A level's successes take 2**t scans each, about 2**(t + 1) bits: on
+    average 2 * level * 2**t bits, give or take 2 * sqrt(level) * 2**t.
+    The span covers that mean and two such deviations three times over
+    at the highest t, which is this level and most of the next, or the
+    `left` scans to the last checkpoint at 2 bits each, whichever is
+    less; and the array stays within SPAN_WORDS, which holds 2 blocks of
+    each of at most SPAN_WORDS // 2 rows.
+    """
+    need = min(3 * (level + 2 * math.sqrt(level)) * 2.0**top, left) / 32
+    return int(min(2 + need, SPAN_WORDS // rows))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import CounterParams, Family, transition_prob
+from .chain import CounterParams, Family, _integer, _state, transition_prob
 from .randbits import BitStream
 
 DEFAULT_CEILING = (1 << 16) - 1
@@ -51,21 +51,25 @@ def increment(
 
     Consumes exactly the bits the decision needs (none while saturated
     or in the deterministic fp prefix).  Reaching `ceiling` sets the
-    saturated flag; increments on a saturated state are no-ops.
+    saturated flag; increments on a saturated state are no-ops.  The
+    state and `ceiling` (1 or more) are integers; numpy ints read exactly.
     """
-    if ceiling < 1:
-        raise ValueError("ceiling must be at least 1")
-    if state.saturated or state.k >= ceiling:
+    if ceiling.__class__ is not int or ceiling < 1:
+        ceiling = _integer(ceiling, "ceiling", 1)
+    k = state.k
+    if k.__class__ is not int:
+        k = _state(k)
+    if state.saturated or k >= ceiling:
         if not state.saturated:
-            return CounterState(state.k, True)
+            return CounterState(k, True)
         return state
     if params.family is Family.QARY:
-        advanced = src.next_uniform53() < transition_prob(params, state.k)
+        advanced = src.next_uniform53() < transition_prob(params, k)
     else:
-        advanced = src.bernoulli_pow2(params.scan_length(state.k))
+        advanced = src.bernoulli_pow2(params.scan_length(k))
     if not advanced:
         return state
-    k = state.k + 1
+    k += 1
     return CounterState(k, k >= ceiling)
 
 

@@ -1,6 +1,7 @@
 """Counter state machine: bit consumption per update, the deterministic
 prefix, saturation-as-flag semantics, and the qary uniform comparison."""
 
+import numpy as np
 import pytest
 
 from fpcount import (
@@ -97,6 +98,23 @@ def test_default_ceiling():
     assert DEFAULT_CEILING == (1 << 16) - 1
     with pytest.raises(ValueError):
         increment(new_counter(), FP2, ScriptedBitSource(""), ceiling=0)
+
+
+def test_ceiling_is_read_by_the_integer_rule():
+    with pytest.raises(ValueError, match="^ceiling 2.5 is not an integer$"):
+        increment(new_counter(), FP2, ScriptedBitSource(""), ceiling=2.5)
+    with pytest.raises(ValueError, match=r"^ceiling 0 is outside 1\.\.inf$"):
+        increment(new_counter(), FP2, ScriptedBitSource(""), ceiling=0)
+    out = increment(CounterState(k=2), FP2, ScriptedBitSource(""), ceiling=np.int64(3))
+    assert out == CounterState(k=3, saturated=True)
+
+
+def test_numpy_state_advances_like_its_int():
+    # k = 5 in fp(2) scans t = 1 bit: a 0 advances it, a 1 does not
+    for script, k in (("0", 6), ("1", 5)):
+        src = ScriptedBitSource(script)
+        out = increment(CounterState(np.uint64(5)), FP2, src)
+        assert (out.k, src.stream_position) == (k, 1)
 
 
 def test_decompose():

@@ -3,10 +3,13 @@
 The central claim: the ensemble engine reproduces, replicate by
 replicate and bit for bit, what the scalar counter loop does with the
 stream for child_seed(seed, i) — states, estimates, and the exact
-number of consumed stream bits, for every family, with its per-seed
-kernels and with its vector kernels.  Everything else
+number of consumed stream bits, for every family and at 1, 2, 3 and
+_VECTOR_MIN seeds: morris and fp in level batches at every count, and
+qary with its per-seed kernel and its vector one.  Everything else
 (stats, merging, checkpoint helpers) is checked against plain numpy.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +28,9 @@ from fpcount import (
     transition_prob,
     variance_fn,
 )
-from fpcount._engine import _VECTOR_MIN
-from fpcount.randbits import BitSource, child_seed
+from fpcount._engine import _VECTOR_MIN, simulate
+from fpcount.chain import Family
+from fpcount.randbits import SPAN_WORDS, BitSource, child_seed, stream_skip
 
 FP4 = CounterParams.fp(4)
 
@@ -119,23 +123,32 @@ class TestTrajectory:
 
 class TestEngineEquivalence:
     @staticmethod
-    def _assert_matches_scalar(params, n_max, cps, seed=42):
-        # 3 replicates run the per-seed kernels, _VECTOR_MIN the vector ones
-        for reps in (3, _VECTOR_MIN):
-            report = run_ensemble(params, n_max, reps, seed=seed, checkpoints=cps)
+    def _scalar_points(params, n_max, cps, seed):
+        # (state, stream position) of the scalar loop at each checkpoint
+        src, state, out = BitSource(seed), new_counter(), []
+        for m in range(1, n_max + 1):
+            state = increment(state, params, src)
+            if m == cps[len(out)]:
+                out.append((state.k, src.stream_position))
+                if len(out) == len(cps):
+                    break
+        return out
+
+    def _assert_matches_scalar(self, params, n_max, cps, seed=42):
+        # morris and fp run level batches at every seed count; qary runs
+        # its per-seed kernel below _VECTOR_MIN seeds and its vector one
+        # from there on
+        seeds = [child_seed(seed, i) for i in range(_VECTOR_MIN)]
+        want = [self._scalar_points(params, n_max, cps, s) for s in seeds]
+        for reps in (1, 2, 3, _VECTOR_MIN):
+            states, bits, estimates = simulate(
+                params, n_max, np.array(seeds[:reps], dtype=np.uint64), cps
+            )
             for i in range(reps):
-                src = BitSource(child_seed(seed, i))
-                state = new_counter()
-                ci = 0
-                for m in range(1, n_max + 1):
-                    state = increment(state, params, src)
-                    if m == cps[ci]:
-                        assert int(report.states[ci, i]) == state.k
-                        assert int(report.bits[ci, i]) == src.stream_position
-                        assert report.estimates[ci, i] == estimate_float(params, state.k)
-                        ci += 1
-                        if ci == len(cps):
-                            break
+                assert list(zip(states[:, i].tolist(), bits[:, i].tolist())) == want[i]
+                assert estimates[:, i].tolist() == [
+                    estimate_float(params, k) for k, _ in want[i]
+                ]
 
     @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
     def test_matches_scalar_counter_loop(self, params):
@@ -148,6 +161,30 @@ class TestEngineEquivalence:
         # both reach DEFAULT_CEILING = 65535 before n = 70000; the scalar
         # counter then stays put and draws no bits, and so must the engine
         self._assert_matches_scalar(params, 70000, [65535, 65536, 70000], seed=5)
+
+    @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
+    def test_many_replicates_run_in_bounded_slices(self, params):
+        # past SPAN_WORDS // 2 replicates the kernels run a slice at a
+        # time, so every scan span holds 2 blocks of each replicate and
+        # SPAN_WORDS blocks in all; columns either side of the slice
+        # boundary match the scalar loop
+        size = SPAN_WORDS // 2 + 3
+        seeds = np.array([child_seed(8, i) for i in range(size)], dtype=np.uint64)
+        cps = [1, 30, 60]
+        spans = []
+
+        def spy(seeds, *args):
+            spans.append((seeds.size, args[-1]))
+            return stream_skip(seeds, *args)
+
+        with mock.patch("fpcount._engine.stream_skip", spy):
+            states, bits, _ = simulate(params, 60, seeds, cps)
+        assert all(2 <= blocks and rows * blocks <= SPAN_WORDS for rows, blocks in spans)
+        if params.family is not Family.QARY:
+            assert max(rows for rows, _ in spans) == SPAN_WORDS // 2
+        for i in (0, size // 2, SPAN_WORDS // 2 - 1, SPAN_WORDS // 2, size - 1):
+            want = self._scalar_points(params, 60, cps, int(seeds[i]))
+            assert list(zip(states[:, i].tolist(), bits[:, i].tolist())) == want
 
     def test_column_equals_trajectory(self):
         cps = [1, 10, 200, 1500]

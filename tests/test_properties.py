@@ -4,35 +4,35 @@
   over a script of the same blocks' bits are its reference, for every
   reader method.  Blocks are drawn sparse and all-zero as well as
   random, so scans of t >= 64 succeed and cross block boundaries.
-  ``BitSource.skip``, interleaved with the word reads on one reader, is
-  pinned to a loop of the scripted scans.
-* ``stream_window64`` reads many seeds at arbitrary positions; the
-  stream's definition (``stream_block``, bits MSB-first) is its
-  reference.  ``stream_uniforms53`` reads runs of 53-bit draws for many
-  seeds from one position; successive ``BitSource.next_uniform53``
-  calls are its reference.
-* ``stream_skip`` runs ``bernoulli_pow2`` scans within one 64-bit
-  window for many seeds; a loop of the scalar scan on a ``BitSource`` at
-  the same position, or on a script of the window's bits, is its
-  reference, for the outcome, the scans and the bits consumed.  The
-  exact bit helpers under it are pinned to Python's int methods, and its
-  vector select of the bit just past the r-th 1 to the scalar bisection
-  ``_after_ones``.
+* ``_blocks`` computes many streams' blocks at once, and
+  ``stream_uniforms53`` reads runs of 53-bit draws for many seeds from
+  one position; the stream's definition (``stream_block``) and
+  successive ``BitSource.next_uniform53`` calls are their references.
+* ``stream_skip`` runs level batches: the whole ``bernoulli_pow2(t)``
+  scans in a span of blocks, up to a quota of successes, level after
+  level while every stream ends its level in the span, with the state
+  and position after each goal's scan.  A loop of the scalar scan on a
+  ``BitSource`` at the same position, or on a script of the span's bits
+  (sparse and all-zero blocks, so zero runs straddle blocks and the
+  span's end), is its reference, for the word form and the Python-int
+  form of the search alike.  The popcounts under it are pinned to
+  ``int.bit_count``, and its select of the r-th 1 of a word to a loop
+  over the word's bits.
 * ``CounterTable.increment`` updates a packed slot in one pass, and a
   width-8 slot (drawn in half the runs) as one byte; a replay through
   ``counters.increment`` with the slot's ceiling, plus the documented
   snapshot layout, is its reference.
 * ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
   with ValueError.
-* ``_engine.simulate`` runs morris and fp counters skipping from
-  advance to advance and qary counters comparing bulk-read draws, one
-  seed at a time below ``_VECTOR_MIN`` replicates and side by side from
-  there on; runs are drawn on both sides of that count.  The
-  ``counters.increment`` loop over each replicate's stream is the
+* ``_engine.simulate`` runs morris and fp counters in level batches,
+  from 1 seed up, and qary counters comparing bulk-read draws, one seed
+  at a time below ``_VECTOR_MIN`` replicates and side by side from there
+  on; runs are drawn at 1, 2 and 3 seeds and from ``_VECTOR_MIN`` on.
+  The ``counters.increment`` loop over each replicate's stream is the
   reference of each kernel on its own, for states, consumed bits and
   estimates.
 * Update counts go through one rule that sorts and deduplicates them:
-  ``run_trajectory``, ``run_ensemble`` (per-seed and vector kernels),
+  ``run_trajectory``, ``run_ensemble`` (qary's per-seed and vector kernels),
   ``sweep_moments`` and the CLI's ``--checkpoints`` given a shuffled
   list with repeats equal the same call on the sorted distinct list.
 * The qary closed forms ``estimate`` and ``variance_fn`` round an
@@ -79,15 +79,14 @@ from fpcount.randbits import (
     BitSource,
     BitStream,
     ScriptedBitSource,
-    _after_ones,
-    _after_ones64,
-    _bit_length64,
+    _blocks,
+    _nth_one,
     _popcount64,
+    _swar_popcount64,
     child_seed,
     stream_block,
     stream_skip,
     stream_uniforms53,
-    stream_window64,
 )
 
 blocks = st.lists(
@@ -142,73 +141,24 @@ def test_word_scan_matches_bit_loop_on_canonical_stream(seed, ts):
         assert fast.stream_position == ref.stream_position
 
 
-mixed_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("skip"),
-            st.one_of(st.integers(1, 8), st.integers(1, 70)),
-            st.one_of(st.integers(1, 4), st.integers(1, 40)),
-        ),
-        st.tuples(st.just("scan"), st.integers(0, 140), st.just(0)),
-        st.tuples(st.just("take"), st.integers(0, 140), st.just(0)),
-    ),
-    max_size=20,
-)
-
-
-def _skip_by_scans(src, t, limit):
-    for scans in range(1, limit + 1):
-        if src.bernoulli_pow2(t):
-            return True, scans
-    return False, limit
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), ops=mixed_ops)
-def test_skip_interleaves_with_word_reads(seed, ops):
-    # one reader's span serves all three reads: skips start inside a block
-    # that take_bits or a scan loaded, and word reads start inside a span
-    # that skip loaded; a skip of failed scans reads at most t bits a scan
-    bound = sum(t * (limit or 1) for _, t, limit in ops) + 64
-    ref = ScriptedBitSource(
-        "".join(format(stream_block(seed, j), "064b") for j in range(bound // 64 + 1))
-    )
-    fast = BitSource(seed)
-    for op, t, limit in ops:
-        if op == "skip":
-            assert fast.skip(t, limit) == _skip_by_scans(ref, t, limit)
-        elif op == "scan":
-            assert fast.bernoulli_pow2(t) == ref.bernoulli_pow2(t)
-        else:
-            assert fast.take_bits(t) == ref.take_bits(t)
-        assert fast.stream_position == ref.stream_position
-    assert fast.take_bits(64) == ref.take_bits(64)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    reads=st.lists(
-        st.tuples(
-            st.integers(0, 2**64 - 1),
-            st.one_of(
-                st.integers(0, 4096),
-                st.integers(0, 2**14 - 1).map(lambda j: 64 * j),
-                st.integers(0, 2**14 - 1).map(lambda j: 64 * j + 63),
-                st.integers(0, 2**20 - 1),
-            ),
-        ),
-        min_size=1,
-        max_size=8,
-    )
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    firsts=st.lists(
+        st.one_of(st.integers(0, 2**20), st.integers(2**64 - 8, 2**64 - 1)),
+        min_size=4,
+        max_size=4,
+    ),
+    count=st.integers(1, 5),
+    per_stream=st.booleans(),
 )
-def test_vector_reader_matches_stream_definition(reads):
-    seeds = np.array([s for s, _ in reads], dtype=np.uint64)
-    pos = np.array([p for _, p in reads], dtype=np.uint64)
-    windows = stream_window64(seeds, pos)
-    for i, (seed, p) in enumerate(reads):
-        j, off = p >> 6, p & 63
-        pair = (stream_block(seed, j) << 64) | stream_block(seed, j + 1)
-        assert int(windows[i]) == ((pair << off) >> 64) & (2**64 - 1)
+def test_block_reader_matches_stream_definition(seeds, firsts, count, per_stream):
+    # the first block one per stream, or one for all; counters wrap mod 2**64
+    firsts = firsts[: len(seeds)] if per_stream else [firsts[0]] * len(seeds)
+    got = _blocks(np.array(seeds, dtype=np.uint64), np.array(firsts, dtype=np.uint64), count)
+    assert got.shape == (count, len(seeds))
+    for i, (seed, f) in enumerate(zip(seeds, firsts)):
+        assert got[:, i].tolist() == [stream_block(seed, f + j) for j in range(count)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,88 +181,129 @@ def test_bulk_uniforms_match_next_uniform53(seeds, pos, count):
         assert draws[:, i].tolist() == [src.next_uniform53() for _ in range(count)]
 
 
-def _window_scans(src, t, limit):
-    """(advanced, scans, used): whole bernoulli_pow2(t) scans on `src`
-    within 64 bits, at most `limit`, stopping after a success."""
-    start = src.stream_position
-    scans, used, advanced = 0, 0, False
-    while scans < limit and not advanced:
-        advanced = src.bernoulli_pow2(t)
-        if src.stream_position - start > 64:
-            return False, scans, used
-        scans, used = scans + 1, src.stream_position - start
-    return advanced, scans, used
+def test_bulk_uniforms_read_any_number_of_blocks():
+    # 20000 draws from bit 5 touch 16563 blocks, more than a scan span holds
+    draws = stream_uniforms53(np.array([77], dtype=np.uint64), 5, 20000)
+    src = BitSource(77)
+    src.take_bits(5)
+    assert draws[:, 0].tolist() == [src.next_uniform53() for _ in range(20000)]
 
 
-def _assert_skips(skips, seeds, pos, sources):
-    ts = np.array([t for t, _ in skips], dtype=np.uint64)
-    limits = np.array([lim for _, lim in skips], dtype=np.uint64)
-    advanced, scans, used = stream_skip(seeds, pos, ts, limits)
-    for i, ((t, limit), src) in enumerate(zip(skips, sources)):
-        want = _window_scans(src, t, limit)
-        assert (bool(advanced[i]), int(scans[i]), int(used[i])) == want
+def _batches_by_scans(sources, ts, quotas, room, level, goals, ends):
+    """stream_skip's outputs from scalar scans on `sources`.
+
+    Each stream takes whole scans, ending by its stream bit in `ends`,
+    until its quota-th success; while every stream got there, all have
+    room left and one has a goal ahead, all go on at t + 1 for `level`
+    more.  Returns, per stream, the (advances, position) after each
+    goal's scan (None past the scans taken) and at the stop, and the scans.
+    """
+    n = len(sources)
+    t, quota, got, done = list(ts), list(quotas), [0] * n, [0] * n
+    at = [{} for _ in range(n)]
+    last = [src.stream_position for src in sources]
+    while True:
+        hit = []
+        for i, src in enumerate(sources):
+            advances = 0
+            while advances < quota[i]:
+                try:
+                    advanced = src.bernoulli_pow2(t[i])
+                except RuntimeError:  # the script, which holds the span, ran out
+                    break
+                if src.stream_position > ends[i]:
+                    break
+                done[i] += 1
+                advances += advanced
+                last[i] = src.stream_position
+                at[i][done[i]] = (got[i] + advances, last[i])
+            got[i] += advances
+            hit.append(advances == quota[i])
+        quota = [min(level, r - g) for r, g in zip(room, got)]
+        ahead = not goals or any(goals[-1][i] > done[i] for i in range(n))
+        if max(t) == MAX_SCAN or not (all(hit) and all(quota) and ahead):
+            break
+        t = [x + 1 for x in t]
+    return [
+        ([at[i].get(row[i]) for row in goals] + [(got[i], last[i])], done[i])
+        for i in range(n)
+    ]
 
 
-skip_args = st.tuples(
-    st.one_of(st.integers(1, 8), st.integers(1, MAX_SCAN)),
-    st.one_of(st.integers(1, 4), st.integers(1, 70)),
-)
+def _assert_batches(seeds, pos, ts, quotas, room, level, goals, blocks, sources, words):
+    # `words`: the largest span array searched in Python ints, so that either
+    # form of the search runs
+    with mock.patch("fpcount.randbits._INT_WORDS", words):
+        advances, ends, scans = stream_skip(
+            np.array(seeds, dtype=np.uint64),
+            np.array(pos, dtype=np.uint64),
+            np.array(ts, dtype=np.uint64),
+            np.array(quotas, dtype=np.uint64),
+            np.array(room, dtype=np.uint64),
+            np.uint64(level),
+            np.array(goals, dtype=np.uint64).reshape(-1, len(seeds)),
+            blocks,
+        )
+    span_ends = [((p >> 6) + blocks) * 64 for p in pos]
+    want = _batches_by_scans(sources, ts, quotas, room, level, goals, span_ends)
+    for i, (points, want_scans) in enumerate(want):
+        assert int(scans[i]) == want_scans
+        for j, point in enumerate(points):
+            if point is not None:
+                assert (int(advances[j, i]), int(ends[j, i])) == point
+
+
+scan_lengths = st.one_of(st.integers(1, 8), st.integers(1, MAX_SCAN))
+
+
+@st.composite
+def batches(draw, streams, positions):
+    """(pos, t, quota, room) per stream, the level size, the goal rows and
+    the span's blocks."""
+    n = len(streams)
+    blocks = draw(st.integers(2, 6))
+    pos = [draw(positions) for _ in range(n)]
+    ts = [draw(scan_lengths) for _ in range(n)]
+    # a level of a few successes ends mid-span, as in fp(0) .. fp(2); a
+    # stream's quota is what is left of its level, and its room what is
+    # left below the ceiling
+    level = draw(st.sampled_from([1, 2, 4, 16, 64]))
+    quota = st.one_of(st.integers(1, min(4, level)), st.integers(1, level))
+    qs = [draw(quota) for _ in range(n)]
+    room = [q + draw(st.one_of(st.just(0), st.integers(0, 8), st.integers(0, 200))) for q in qs]
+    # goals ascend down each column, and often land mid-span
+    g = draw(st.integers(0, 3))
+    cols = [
+        sorted(draw(st.sets(st.integers(1, 64 * blocks), min_size=g, max_size=g)))
+        for _ in range(n)
+    ]
+    goals = [[col[j] for col in cols] for j in range(g)]
+    return pos, ts, qs, room, level, goals, blocks
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    scans=st.lists(
-        st.tuples(
-            st.integers(0, 2**64 - 1),
-            # block starts and ends, where a window straddles two blocks
-            st.one_of(
-                st.integers(0, 40).map(lambda j: 64 * j),
-                st.integers(0, 40).map(lambda j: 64 * j + 63),
-                st.integers(0, 64 * 41),
-            ),
-            skip_args,
-        ),
-        min_size=1,
-        max_size=8,
-    )
+    data=st.data(),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
 )
-def test_vector_skip_matches_bernoulli_pow2(scans):
-    seeds = np.array([s for s, _, _ in scans], dtype=np.uint64)
-    pos = np.array([p for _, p, _ in scans], dtype=np.uint64)
+def test_level_batches_match_bernoulli_pow2(data, seeds):
+    # block starts and ends, where a span's first block is nearly all read
+    positions = st.one_of(
+        st.integers(0, 40).map(lambda j: 64 * j),
+        st.integers(0, 40).map(lambda j: 64 * j + 63),
+        st.integers(0, 64 * 41),
+    )
+    pos, ts, qs, room, level, goals, blocks = data.draw(batches(seeds, positions))
     sources = []
-    for seed, p, _ in scans:
+    for seed, p in zip(seeds, pos):
         src = BitSource(seed)
         src.take_bits(p)
         sources.append(src)
-    _assert_skips([a for _, _, a in scans], seeds, pos, sources)
+    words = data.draw(st.sampled_from([0, 1 << 20]))
+    _assert_batches(seeds, pos, ts, qs, room, level, goals, blocks, sources, words)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    scans=st.lists(
-        st.tuples(
-            st.integers(0, 2**64 - 1),
-            st.integers(0, 64 * 41),
-            # long scans and low limits: most rows stop at their limit, so
-            # both the one-by-one and the vector select run
-            st.tuples(st.integers(4, MAX_SCAN), st.integers(1, 4)),
-        ),
-        min_size=1,
-        max_size=40,
-    )
-)
-def test_vector_skip_with_many_limit_hits(scans):
-    seeds = np.array([s for s, _, _ in scans], dtype=np.uint64)
-    pos = np.array([p for _, p, _ in scans], dtype=np.uint64)
-    sources = []
-    for seed, p, _ in scans:
-        src = BitSource(seed)
-        src.take_bits(p)
-        sources.append(src)
-    _assert_skips([a for _, _, a in scans], seeds, pos, sources)
-
-
-windows = st.one_of(
+words = st.one_of(
     st.just(0),
     st.integers(0, 63).map(lambda b: 1 << b),
     st.lists(st.integers(0, 63), max_size=4).map(lambda bs: sum({1 << b for b in bs})),
@@ -321,32 +312,42 @@ windows = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(skips=st.lists(st.tuples(windows, skip_args), min_size=1, max_size=8))
-def test_vector_skip_on_sparse_windows(skips):
-    # zero and sparse windows, where long scans succeed and end anywhere
-    words = np.array([w for w, _ in skips], dtype=np.uint64)
-    # a scan that runs past the window ends on the padding's first bit
-    sources = [ScriptedBitSource(format(w, "064b") + "1") for w, _ in skips]
-    with mock.patch("fpcount.randbits.stream_window64", lambda seeds, pos: words):
-        _assert_skips([a for _, a in skips], words, words, sources)
+@given(
+    data=st.data(),
+    spans=st.lists(st.lists(words, min_size=6, max_size=6), min_size=1, max_size=6),
+)
+def test_level_batches_on_sparse_spans(data, spans):
+    # zero and sparse blocks: long scans succeed, and zero runs straddle
+    # blocks and the span's end; the span starts in block 0 of each stream
+    pos, ts, qs, room, level, goals, blocks = data.draw(batches(spans, st.integers(0, 63)))
+    span = np.array([words[:blocks] for words in spans], dtype=np.uint64).T
+    sources = []
+    for words_, p in zip(spans, pos):
+        src = ScriptedBitSource("".join(format(w, "064b") for w in words_[:blocks]))
+        src.take_bits(p)
+        sources.append(src)
+    words = data.draw(st.sampled_from([0, 1 << 20]))
+    with mock.patch("fpcount.randbits._blocks", lambda seeds, first, count: span.copy()):
+        _assert_batches([0] * len(spans), pos, ts, qs, room, level, goals, blocks, sources, words)
 
 
 def test_exact_bit_helpers():
     values = [0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1]
     values += [1 << b for b in range(64)] + [(1 << b) - 1 for b in range(1, 65)]
     x = np.array(values, dtype=np.uint64)
-    assert _bit_length64(x).tolist() == [v.bit_length() for v in values]
-    assert _popcount64(x).tolist() == [v.bit_count() for v in values]
+    for popcount in (_popcount64, _swar_popcount64):
+        assert popcount(x).tolist() == [v.bit_count() for v in values]
 
 
 @settings(max_examples=300, deadline=None)
-@given(words=st.lists(st.one_of(windows, st.just(2**64 - 1)), min_size=1, max_size=8))
-def test_vector_select_matches_after_ones(words):
-    # every r from 1 to the word's 1s, with r as uint64 as stream_skip has it
-    pairs = [(w, r) for w in words for r in range(1, w.bit_count() + 1)]
-    w = np.array([w for w, _ in pairs], dtype=np.uint64)
-    r = np.array([r for _, r in pairs], dtype=np.uint64)
-    assert _after_ones64(w, r).tolist() == [_after_ones(w, 64, r) for w, r in pairs]
+@given(ws=st.lists(st.one_of(words, st.just(2**64 - 1)), min_size=1, max_size=8))
+def test_nth_one_matches_bit_loop(ws):
+    # every r from 1 to the word's 1s, as uint64 as stream_skip has them
+    want = [i for w in ws for i in range(64) if w >> (63 - i) & 1]
+    pairs = [(w, r) for w in ws for r in range(1, w.bit_count() + 1)]
+    w = np.array([w for w, _ in pairs], dtype=np.uint64).reshape(-1, 1)
+    r = np.array([r for _, r in pairs], dtype=np.uint64).reshape(-1, 1)
+    assert _nth_one(w, r).ravel().tolist() == want
 
 
 def _outcome(thunk):
@@ -477,7 +478,7 @@ def engine_runs(
     n = draw(st.one_of(st.integers(1, 300), st.integers(1, 3000)))
     cps = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=8)))
     seed = draw(st.integers(0, 2**64 - 1))
-    # per-seed kernels below _VECTOR_MIN replicates, vector kernels from it
+    # 1 to 3 seeds, and from _VECTOR_MIN on, where qary runs its vector kernel
     vector = st.integers(_VECTOR_MIN, _VECTOR_MIN + 2)
     reps = draw(st.one_of(st.integers(1, 3), vector))
     seeds = [child_seed(seed, i) for i in range(reps)]
@@ -550,7 +551,7 @@ def test_update_counts_are_sorted_and_deduplicated(run, seed):
     params, n, cps = run
     ordered = sorted(set(cps))
     assert run_trajectory(params, n, seed, cps) == run_trajectory(params, n, seed, ordered)
-    for reps in (2, _VECTOR_MIN):  # the per-seed kernels, then the vector ones
+    for reps in (2, _VECTOR_MIN):  # qary's per-seed kernel, then its vector one
         a, b = (run_ensemble(params, n, reps, seed, c) for c in (cps, ordered))
         assert a.checkpoints == b.checkpoints == tuple(ordered)
         for field in ("states", "estimates", "bits"):
