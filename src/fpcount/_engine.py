@@ -79,8 +79,7 @@ def simulate(
     The outputs do not depend on which kernels run.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-    # a spare last row takes the scan rounds' writes past the checkpoints
-    states = np.zeros((len(checkpoints) + 1, seeds.size), dtype=np.uint64)
+    states = np.zeros((len(checkpoints), seeds.size), dtype=np.uint64)
     bits = np.zeros_like(states)
     if checkpoints:
         if params.family is not Family.QARY:
@@ -92,7 +91,6 @@ def simulate(
         for lo in range(0, seeds.size, _SLICE):
             hi = lo + _SLICE
             kernel(params, seeds[lo:hi], checkpoints, states[:, lo:hi], bits[:, lo:hi])
-    states, bits = states[:-1], bits[:-1]
     held = np.zeros(int(states.max(initial=0)) + 1, dtype=bool)
     held[states] = True
     table = np.zeros(held.size)
@@ -171,8 +169,7 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
         return
     shift = np.uint64(params._shift)
     level = np.uint64(1 << params._shift)
-    # the checkpoints, and past them as many that no span reaches
-    goal_of = np.array(cps + [1 << 62] * len(cps), dtype=np.uint64)
+    goal_of = np.array(cps, dtype=np.uint64)
     # reaching DEFAULT_CEILING takes that many updates
     ceiling = cps[-1] > DEFAULT_CEILING
     # one entry per replicate still running; `col` is its column in the output
@@ -191,19 +188,19 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
         blocks = _span_blocks(int(t.max()), 1 << params._shift, cps[-1] - near, col.size)
         # every checkpoint the span can reach, as each scan reads a bit
         reach = bisect.bisect_right(cps, far + 64 * blocks) - bisect.bisect_right(cps, near)
-        rows = cpi + np.arange(reach)[:, None]
+        # goal rows past the last checkpoint repeat it, with the same values
+        rows = np.minimum(cpi + np.arange(reach)[:, None], len(cps) - 1)
         goals = goal_of[rows] - m
         advances, ends, scans = stream_skip(sd, pos, t, quota, room, level, goals, blocks)
         # every goal's row is written; one the batch stopped before is
-        # written again once reached, and rows past the last go to the spare
-        np.minimum(rows, len(cps), out=rows)
+        # written again once reached
         states[rows, col] = advances[:-1] + k
         bits[rows, col] = ends[:-1]
         k += advances[-1]
         m += scans
         pos = ends[-1]
         cpi = np.searchsorted(goal_of, m, "right")
-        live = m < goal_of[len(cps) - 1]
+        live = m < goal_of[-1]
         if ceiling:
             # a saturated counter keeps its state and bits to the end
             for i in np.flatnonzero(live & (k >= _CEILING)):

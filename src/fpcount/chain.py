@@ -149,19 +149,11 @@ class CounterParams:
         return k >> self._shift
 
 
-def _state(k) -> int:
-    """State k as a Python int >= 0; numpy ints convert exactly."""
-    if k.__class__ is not int:
-        k = operator.index(k)
-    if k < 0:
-        raise ValueError(f"state must be nonnegative, got {k}")
-    return k
-
-
 def _integer(value, what: str, first: float, last: float = math.inf) -> int:
     """The one input rule: `value` as a Python int in first..last.
 
     numpy ints pass; a float or a string is refused by `what`, not truncated.
+    Every counter state is read by it as ``_integer(k, "state", 0)``.
     """
     try:
         n = operator.index(value)
@@ -184,7 +176,7 @@ def transition_prob(params: CounterParams, k: int) -> Fraction | float:
     2**(-k/r) for qary, where q**-k is irrational for r > 1 and k not a
     multiple of r; the float type flags the inexactness.
     """
-    k = _state(k)
+    k = _integer(k, "state", 0)
     if params.family is Family.QARY:
         return 2.0 ** (-(k / params.r))
     return Fraction(1, 1 << params.scan_length(k))
@@ -216,10 +208,10 @@ def estimate(params: CounterParams, k: int) -> int | float:
     Float for qary: f(k) = (q**k - 1)/(q - 1), computed via expm1; the
     rounded exponent k*ln2/r puts the relative error of order k/r ulps.
     """
-    # one family test, and a helper only for numpy ints and negative states;
+    # one family test, and the input rule only for numpy ints and bad states;
     # the qary value is estimate_float's, which the float reads call directly
     if k.__class__ is not int or k < 0:
-        k = _state(k)
+        k = _integer(k, "state", 0)
     d = params._shift
     if d is None:
         return estimate_float(params, k)
@@ -236,7 +228,7 @@ def variance_fn(params: CounterParams, k: int) -> int | float:
     f(k)*(q**k - q)/(q + 1) = f(k)*q*expm1((k - 1)*ln2/r)/(q + 1), which
     does not cancel at small k.
     """
-    k = _state(k)
+    k = _integer(k, "state", 0)
     d = params._shift
     if d is None:
         if not k:
@@ -259,7 +251,7 @@ def estimate_series(params: CounterParams, k: int) -> int | float:
     O(k); kept as the reference the closed form in :func:`estimate` is
     checked against.
     """
-    k = _state(k)
+    k = _integer(k, "state", 0)
     if params.family is Family.QARY:
         r = params.r
         return math.fsum(2.0 ** (i / r) for i in range(k))
@@ -271,7 +263,7 @@ def estimate_series(params: CounterParams, k: int) -> int | float:
 
 def variance_series(params: CounterParams, k: int) -> int | float:
     """g(k) by direct summation of (1 - q_i)/q_i**2; reference for variance_fn."""
-    k = _state(k)
+    k = _integer(k, "state", 0)
     if params.family is Family.QARY:
         r = params.r
         return math.fsum(2.0 ** (2 * i / r) - 2.0 ** (i / r) for i in range(k))
@@ -289,7 +281,8 @@ def relative_spread(params: CounterParams, k: int) -> float:
     window reported by :func:`accuracy_limits`.  Undefined at k = 0
     where the estimate is zero.
     """
-    if k < 1:
+    k = _integer(k, "state", 0)
+    if not k:
         raise ValueError("relative_spread is undefined at state 0")
     g = variance_fn(params, k)
     f = estimate(params, k)
@@ -358,7 +351,7 @@ def estimate_float(params: CounterParams, k: int) -> float:
     The qary closed form lives here, and :func:`estimate` returns it.
     """
     if k.__class__ is not int or k < 0:
-        k = _state(k)
+        k = _integer(k, "state", 0)
     d = params._shift
     if d is None:
         r = params.r

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import CounterParams, Family, _integer, _state, transition_prob
+from .chain import CounterParams, Family, _integer, transition_prob
 from .randbits import BitStream
 
 DEFAULT_CEILING = (1 << 16) - 1
@@ -52,13 +52,14 @@ def increment(
     Consumes exactly the bits the decision needs (none while saturated
     or in the deterministic fp prefix).  Reaching `ceiling` sets the
     saturated flag; increments on a saturated state are no-ops.  The
-    state and `ceiling` (1 or more) are integers; numpy ints read exactly.
+    state (0 or more) and `ceiling` (1 or more) are integers; numpy ints
+    read exactly.
     """
     if ceiling.__class__ is not int or ceiling < 1:
         ceiling = _integer(ceiling, "ceiling", 1)
     k = state.k
-    if k.__class__ is not int:
-        k = _state(k)
+    if k.__class__ is not int or k < 0:
+        k = _integer(k, "state", 0)
     if state.saturated or k >= ceiling:
         if not state.saturated:
             return CounterState(k, True)
@@ -77,9 +78,10 @@ def decompose(state: CounterState, params: CounterParams) -> tuple[int, int]:
     """Split an fp state into (exponent, significand) by shift/mask."""
     if params.family is not Family.FP:
         raise ValueError("decompose applies to fp counters only")
-    return state.k >> params.d, state.k & (params.modulus - 1)
+    k = _integer(state.k, "state", 0)
+    return k >> params.d, k & (params.modulus - 1)
 
 
 def storage_bits(state: CounterState) -> int:
     """Bits needed to hold the current state: ceil(log2(k + 1)), min 1."""
-    return max(1, state.k.bit_length())
+    return max(1, _integer(state.k, "state", 0).bit_length())

@@ -59,14 +59,19 @@ class TestCheckpointHelpers:
         assert linear_checkpoints(33, count=3) == [11, 22, 33]
         # past 2**53 the float i/count points round, but the last is n_max
         assert linear_checkpoints(2**60 + 1, 4)[-2:] == [3 * 2**58, 2**60 + 1]
-        # `count` bounds the number returned, so it is an integer >= 1
-        for count in (0, -4):
-            with pytest.raises(ValueError, match=f"update count {count} is outside"):
-                linear_checkpoints(33, count)
-        with pytest.raises(ValueError, match="update count 2.5 is not an integer"):
-            linear_checkpoints(33, 2.5)
         with pytest.raises(ValueError, match="update count 10.5 is not an integer"):
             linear_checkpoints(10.5)
+
+    def test_linear_checkpoints_names_its_count(self):
+        # `count` bounds the number returned, so it is an integer >= 1, and
+        # the message names it apart from the update count n_max
+        with pytest.raises(ValueError) as exc:
+            linear_checkpoints(100, 0)
+        assert str(exc.value) == "checkpoint count 0 is outside 1..inf"
+        with pytest.raises(ValueError, match="checkpoint count -4 is outside 1..inf"):
+            linear_checkpoints(33, -4)
+        with pytest.raises(ValueError, match="checkpoint count 2.5 is not an integer"):
+            linear_checkpoints(33, 2.5)
 
     def test_checkpoint_validation(self):
         # the library sorts and deduplicates; it refuses non-integers and

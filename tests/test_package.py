@@ -1,4 +1,8 @@
-"""The package namespace: ``fpcount`` re-exports each module's public names."""
+"""The package namespace: ``fpcount`` re-exports each module's public names,
+and its sources keep one integer reader."""
+
+import inspect
+import pathlib
 
 import fpcount
 
@@ -67,3 +71,18 @@ def test_every_public_name_resolves_to_its_module_object():
     ):
         for name in module.__all__:
             assert getattr(fpcount, name) is getattr(module, name), name
+
+
+def test_one_integer_reader():
+    # operator.index turns what a caller passes into a Python int; only the
+    # one input rule, chain._integer, calls it, so a second reader fails here
+    root = pathlib.Path(fpcount.__file__).parent
+    hits = [
+        (path.name, number)
+        for path in sorted(root.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "operator.index" in line
+    ]
+    assert [name for name, _ in hits] == ["chain.py"]
+    lines, first = inspect.getsourcelines(fpcount.chain._integer)
+    assert first <= hits[0][1] < first + len(lines)

@@ -43,6 +43,9 @@
   the double range they refuse with CounterRangeError, where the exact
   int's size (morris and fp) or a 50-digit value (qary) is the
   reference, and below it the float equals the exact int rounded.
+* Every function that reads a counter state reads it by the one integer
+  rule: negative ints and floats are refused with the rule's message,
+  and a numpy int reads as its Python int.
 """
 
 import contextlib
@@ -60,14 +63,19 @@ from fpcount import (
     CounterParams,
     CounterState,
     CounterTable,
+    Family,
     SlotEstimate,
+    decompose,
     estimate,
     estimate_float,
     increment,
     new_counter,
+    relative_spread,
     run_ensemble,
     run_trajectory,
+    storage_bits,
     sweep_moments,
+    transition_prob,
     variance_fn,
 )
 from fpcount._engine import _VECTOR_MIN, simulate
@@ -671,15 +679,72 @@ def test_qary_reads_refuse_exactly_past_the_double_range(rk):
             assert abs(decimal.Decimal(outcome) - f) <= tol * f
 
 
+_ALL_PARAMS = [
+    CounterParams.morris(), CounterParams.fp(0), CounterParams.fp(4),
+    CounterParams.fp(1100), CounterParams.qary(1), CounterParams.qary(16),
+]
+_FP_PARAMS = [p for p in _ALL_PARAMS if p.family is Family.FP]
+
+
+def _increment_from(params, k):
+    out = increment(CounterState(k), params, BitSource(3))
+    return int(out.k), out.saturated
+
+
+# every function that reads a counter state, with the params it accepts
+_STATE_READERS = [
+    pytest.param(read, _ALL_PARAMS, id=read.__name__)
+    for read in (transition_prob, estimate, estimate_float, variance_fn,
+                 estimate_series, variance_series, relative_spread)
+] + [
+    pytest.param(_increment_from, _ALL_PARAMS, id="increment"),
+    pytest.param(lambda p, k: decompose(CounterState(k), p), _FP_PARAMS, id="decompose"),
+    pytest.param(lambda p, k: storage_bits(CounterState(k)), _ALL_PARAMS[:1], id="storage_bits"),
+]
+
+
+@pytest.mark.parametrize(("read", "accepts"), _STATE_READERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_state_reader_keeps_the_one_rule(read, accepts, data):
+    # a state is read by chain._integer(k, "state", 0): a negative int or
+    # a float is refused with its message, and a numpy int reads as its int
+    params = data.draw(st.sampled_from(accepts))
+    bad = data.draw(st.one_of(st.integers(-(2**70), -1), st.floats()))
+    with pytest.raises(ValueError) as exc:
+        read(params, bad)
+    assert type(exc.value) is ValueError
+    if isinstance(bad, int):
+        assert str(exc.value) == f"state {bad} is outside 0..inf"
+    else:
+        assert str(exc.value) == f"state {bad!r} is not an integer"
+    k = data.draw(st.integers(0, 300))
+    if read is relative_spread and not k:
+        for state in (k, np.uint64(k)):
+            with pytest.raises(ValueError, match="^relative_spread is undefined at state 0$"):
+                read(params, state)
+        return
+    want = read(params, k)
+    got = read(params, np.uint64(k))
+    assert (type(got), got) == (type(want), want)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [lambda: ScriptedBitSource(""), lambda: ScriptedBitSource("0" * 8), lambda: BitSource(1)],
+    ids=["empty-script", "zeros-script", "bitsource"],
+)
 @pytest.mark.parametrize(
     "params",
-    [CounterParams.morris(), CounterParams.fp(0), CounterParams.fp(4),
-     CounterParams.fp(1100), CounterParams.qary(1), CounterParams.qary(16)],
+    [CounterParams.morris(), CounterParams.fp(2), CounterParams.qary(4)],
+    ids=lambda p: str(p.family),
 )
-@pytest.mark.parametrize("k", [-1, -17, -(2**70)])
-def test_negative_states_are_refused(params, k):
-    for read in (estimate, estimate_float, variance_fn):
-        with pytest.raises(ValueError) as exc:
-            read(params, k)
-        assert type(exc.value) is ValueError
-        assert str(exc.value) == f"state must be nonnegative, got {k}"
+def test_increment_refuses_a_negative_state_on_every_source(params, source):
+    # the int fast path tests the sign as well as the class: without it,
+    # fp(2) steps -1 to 0 on an empty script, morris -3 to -2, and a
+    # BitSource fails on a negative shift count
+    for k in (-1, -3):
+        src = source()
+        with pytest.raises(ValueError, match=f"^state {k} is outside 0..inf$"):
+            increment(CounterState(k), params, src)
+        assert src.stream_position == 0
