@@ -16,10 +16,11 @@ level's updates are its successes and the failed scans between them.
 Each round hands ``stream_skip`` a span of blocks per replicate, sized
 from the highest t, the level's size and the scans left to the last
 checkpoint, within ``SPAN_WORDS`` blocks in all, so at most
-``SPAN_WORDS // 2`` replicates run at a time; it runs the level batches
-that fit, and reports the state and stream position at every checkpoint
-they pass.  The t = 0 states advance for certain and read no
-bits, so one step applies that prefix first.
+``SPAN_WORDS // 2`` replicates run at a time; it scans each replicate's
+level to the level's end or the span's, and reports the state and stream
+position at every checkpoint the scans pass.  The next round goes on at
+t + 1.  The t = 0 states advance for certain and read no bits, so one
+step applies that prefix first.
 
 qary compares a 53-bit uniform per update and cannot skip, but its draws
 do not depend on the state: a live counter's update m reads stream bits
@@ -168,7 +169,6 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
     if ci == len(cps):
         return
     shift = np.uint64(params._shift)
-    level = np.uint64(1 << params._shift)
     goal_of = np.array(cps, dtype=np.uint64)
     # reaching DEFAULT_CEILING takes that many updates
     ceiling = cps[-1] > DEFAULT_CEILING
@@ -181,7 +181,6 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
     cpi = np.full(seeds.size, ci)
     while col.size:
         t = k >> shift
-        room = _CEILING - k
         # a level batch ends with the level, or at the ceiling
         quota = np.minimum((t + _V1) << shift, _CEILING) - k
         near, far = int(m.min()), int(m.max())
@@ -191,7 +190,7 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
         # goal rows past the last checkpoint repeat it, with the same values
         rows = np.minimum(cpi + np.arange(reach)[:, None], len(cps) - 1)
         goals = goal_of[rows] - m
-        advances, ends, scans = stream_skip(sd, pos, t, quota, room, level, goals, blocks)
+        advances, ends, scans = stream_skip(sd, pos, t, quota, goals, blocks)
         # every goal's row is written; one the batch stopped before is
         # written again once reached
         states[rows, col] = advances[:-1] + k
@@ -217,10 +216,11 @@ def _span_blocks(top: int, level: int, left: int, rows: int) -> int:
     A level's successes take 2**t scans each, about 2**(t + 1) bits: on
     average 2 * level * 2**t bits, give or take 2 * sqrt(level) * 2**t.
     The span covers that mean and two such deviations three times over
-    at the highest t, which is this level and most of the next, or the
-    `left` scans to the last checkpoint at 2 bits each, whichever is
-    less; and the array stays within SPAN_WORDS, which holds 2 blocks of
-    each of at most SPAN_WORDS // 2 rows.
+    at the highest t, or the `left` scans to the last checkpoint at 2
+    bits each, whichever is less; and the array stays within SPAN_WORDS,
+    which holds 2 blocks of each of at most SPAN_WORDS // 2 rows.  The
+    factor 3 was measured, and stays until it is measured again: spans
+    of one and two levels won on some shapes and tied or lost on others.
     """
     need = min(3 * (level + 2 * math.sqrt(level)) * 2.0**top, left) / 32
     return int(min(2 + need, SPAN_WORDS // rows))

@@ -20,10 +20,9 @@ from (seed, j) directly, so a reader's state is its position.
 * :func:`stream_uniforms53` reads runs of uniform draws for many seeds
   from one position, mixing each block once.
 * :func:`stream_skip` runs ``bernoulli_pow2`` scans for many seeds, each
-  from its own position, over a span of blocks, in level batches: every
-  whole scan at one scan length up to a quota of successes, and then,
-  while every stream ended its level in the span, the next level.  It
-  reports the successes and the position after any scan counts asked
+  from its own position, over a span of blocks, one level batch per
+  call: every whole scan at one scan length, up to a quota of successes.
+  It reports the successes and the position after any scan counts asked
   for.
 
 Every consumer counts consumed bits exactly (``stream_position``), so
@@ -169,24 +168,19 @@ def stream_skip(
     pos: np.ndarray,
     t: np.ndarray,
     quota: np.ndarray,
-    room: np.ndarray,
-    level: np.uint64,
     goals: np.ndarray,
     blocks: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``bernoulli_pow2`` scans from bit `pos` of each stream, level by level.
+    """``bernoulli_pow2`` scans at scan length `t` from bit `pos` of each stream.
 
     Each stream's span is the `blocks` blocks from block ``pos >> 6`` on.
-    A stream scans at scan length `t` until its `quota`-th success; while
-    every stream ends its level inside the span, all go on at t + 1 for
-    `level` more successes, and so on, up to `room` successes in all.  The
-    scans stop at the end of a level that does not go on, or at the last
-    whole scan in the span.  Returns (advances, ends, scans): the
+    A stream takes whole scans until its `quota`-th success, or up to the
+    last whole scan in the span.  Returns (advances, ends, scans): the
     successes and the stream position after the scan numbered by each row
     of `goals` (scan counts, ascending down each column), and after the
     last scan, in one more row; and the scans taken.  A goal's row is
     meaningless where it exceeds the scans taken.  Requires
-    1 <= t <= MAX_SCAN, 1 <= quota <= min(level, room), goals >= 1 and
+    1 <= t <= MAX_SCAN, quota >= 1, goals >= 1 and
     2 <= blocks <= SPAN_WORDS // seeds.size, so that at least 64 bits lie
     past `pos` and every stream takes a scan.
 
@@ -195,9 +189,8 @@ def stream_skip(
     failure: the failures are the 1s, and the successes start at the
     first all-zero t-bit window of each zero run and every t bits after
     it while the run lasts.  The windows come from at most six shift-ANDs
-    of the complement, carried across blocks, and those of t + 1 zeros
-    from one more.  The bits before `pos`, and at a later level the bits
-    before its start, read as 1s: failed scans that are taken out again.
+    of the complement, carried across blocks.  The bits before `pos` read
+    as 1s: failed scans that are taken out again.
     """
     top = int(t.max())
     if top > MAX_SCAN:
@@ -219,56 +212,9 @@ def stream_skip(
         carry >>= tab[6 + i]
         carry |= win << tab[i]
         win &= carry
-    single = level == 1
-    advances, ends, scans, hit = _level_batch(
-        bits, pad, tab, top == 1 or single, cut, quota, goals, origin
-    )
-    while top < MAX_SCAN and np.count_nonzero(hit) == n:
-        # every stream ended its level in the span: all go on at t + 1
-        # from their stops, for the next level or what room is left, while
-        # a goal lies ahead of one of them
-        got = advances[-1].copy()
-        quota = np.minimum(level, room - got)
-        if np.count_nonzero(quota) < n or len(goals) and not np.count_nonzero(goals[-1] > scans):
-            break
-        top += 1
-        t = t + _V1
-        tab = _SCAN_TABLE[:, t]
-        # the bits before the stop read as 1s, and a window of t + 1 zeros
-        # is one of t and the one after it
-        cut = ends[-1] - origin + _V1
-        word = cut >> _V6
-        block = np.arange(blocks, dtype=np.uint64)[:, None]
-        before = (block == word) * ~(_V_ALL >> (cut & _V63)) + (block < word) * _V_ALL
-        bits |= before
-        carry = pad[2:] >> _V63
-        carry |= win << _V1
-        win &= carry
-        win &= ~before
-        adv, end, taken, hit = _level_batch(
-            bits, pad, tab, single, cut, quota, goals - scans, origin
-        )
-        # the goals this level passed take its values
-        new = (goals > scans) & (goals - scans <= taken)
-        advances[:-1] += new * (adv[:-1] + got - advances[:-1])
-        ends[:-1] += new * (end[:-1] - ends[:-1])
-        advances[-1] += adv[-1]
-        ends[-1] = end[-1]
-        scans += taken
-    return advances, ends, scans
-
-
-def _level_batch(bits, pad, tab, first_only, cut, quota, goals, origin):
-    """One level batch of stream_skip over the span `bits`, whose windows
-    of t zeros are ``pad[1:-1]`` and whose bits before `cut` read as 1s.
-
-    `first_only` holds where t is 1 for every stream, or every quota is 1:
-    then the windows themselves mark the successes that count.  Returns
-    stream_skip's (advances, ends, scans) for the level, and whether each
-    stream's quota-th success fell in the span.
-    """
-    blocks, n = bits.shape
-    win = pad[1:-1]
+    # every window starts a success where t is 1 for all, and where every
+    # quota is 1 the scans stop at the first window and no later mark counts
+    first_only = top == 1 or int(quota.max()) == 1
     if bits.size <= _INT_WORDS:
         return _level_by_ints(bits, win, tab[12], first_only, cut, quota, goals, origin)
     # marks[0]: the scans' last bits; marks[1]: the successes' first bits,
@@ -276,8 +222,6 @@ def _level_batch(bits, pad, tab, first_only, cut, quota, goals, origin):
     marks = np.empty((2, blocks, n), dtype=np.uint64)
     starts = marks[1]
     if first_only:
-        # every window starts a success where t = 1; with a quota of 1 the
-        # scans stop at the first window, and no mark past it counts
         starts[:] = win
     else:
         np.right_shift(win, _V1, out=starts)
@@ -328,19 +272,20 @@ def _level_batch(bits, pad, tab, first_only, cut, quota, goals, origin):
     advances = upto - mid
     advances[-1] += hit * (quota - advances[-1])
     scans = mid + hit * (upto[-1] - mid) - first - cut
-    return advances, ends, scans, hit
+    return advances, ends, scans
 
 
 def _level_by_ints(bits, win, back, first_only, cut, quota, goals, origin):
-    """_level_batch for a small span, stream by stream in Python ints: a
-    stream's span bits and windows each as one int, first bit highest.
+    """The search of stream_skip for a small span, stream by stream in
+    Python ints: a stream's span bits and windows each as one int, first
+    bit highest.
 
     The successes' marks and the search follow the word form: the first
     window of each run of windows and every t-th one on, and the r-th mark
     found by bisection on prefix counts.
     """
     size = 64 * len(bits)
-    advances, ends, scans, hits = [], [], [], []
+    advances, ends, scans = [], [], []
     for ones, zeros, back_i, cut_i, quota_i, goals_i, origin_i in zip(
         _ints(bits), _ints(win), back.tolist(), cut.tolist(), quota.tolist(),
         goals.T.tolist(), origin.tolist(),
@@ -369,13 +314,7 @@ def _level_by_ints(bits, win, back, first_only, cut, quota, goals, origin):
         advances.append(adv_i)
         ends.append(end_i)
         scans.append((marked >> (size - places[-1])).bit_count() - cut_i)
-        hits.append(hit)
-    return (
-        np.array(advances, dtype=np.uint64).T.copy(),
-        np.array(ends, dtype=np.uint64).T.copy(),
-        np.array(scans, dtype=np.uint64),
-        np.array(hits),
-    )
+    return tuple(np.array(a, dtype=np.uint64).T.copy() for a in (advances, ends, scans))
 
 
 def _ints(words: np.ndarray) -> list[int]:

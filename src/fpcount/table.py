@@ -31,6 +31,7 @@ other.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 import sys
 from typing import NamedTuple
@@ -90,6 +91,8 @@ class CounterTable:
         return IndexError(f"slot {index} out of range (0..{self.num_slots - 1})")
 
     def get_state(self, index: int) -> int:
+        if index.__class__ is not int:
+            index = _integer(index, "slot index", -math.inf)
         if not 0 <= index < self.num_slots:
             raise self._out_of_range(index)
         if self._byte_slots:
@@ -108,6 +111,8 @@ class CounterTable:
         # one pass over the slot: the bytes are read once and, on an
         # advance, written back once with 1 added at the slot's offset
         # (no carry leaves the slot, since k < 2**width - 1)
+        if index.__class__ is not int:
+            index = _integer(index, "slot index", -math.inf)
         if not 0 <= index < self.num_slots:
             raise self._out_of_range(index)
         data = self._data
@@ -141,9 +146,13 @@ class CounterTable:
         reads = self._reads
         if reads is None:
             return _slot_estimate(self.d, self.width, self.get_state(index))
-        if not 0 <= index < self.num_slots:
-            raise self._out_of_range(index)
-        return reads[self._data[index]]
+        # an int index pays for no test: only what indexing refuses goes to the rule
+        try:
+            if 0 <= index < self.num_slots:
+                return reads[self._data[index]]
+        except TypeError:
+            return self.estimate(_integer(index, "slot index", -math.inf))
+        raise self._out_of_range(index)
 
     # -- snapshots ------------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Counter state machine: bit consumption per update, the deterministic
-prefix, saturation-as-flag semantics, and the qary uniform comparison."""
+prefix, saturation-as-flag semantics, the qary uniform comparison, and
+the chain's state law and bit cost over every bit script of small n."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from fpcount import (
     CounterParams,
     CounterState,
     decompose,
+    expected_bits,
     increment,
     new_counter,
+    step_distribution,
     storage_bits,
 )
 from fpcount.counters import DEFAULT_CEILING
@@ -129,3 +134,46 @@ def test_storage_bits():
     assert storage_bits(CounterState(k=1)) == 1
     assert storage_bits(CounterState(k=255)) == 8
     assert storage_bits(CounterState(k=256)) == 9
+
+
+def _token_scripts(params, n):
+    # every bit script of n updates: at scan length t an update reads one
+    # of the tokens 1, 01, ..., 0^(t-1)1 (it stays) or 0^t (it advances)
+    scripts = [("", 0)]
+    for _ in range(n):
+        grown = []
+        for script, k in scripts:
+            t = params.scan_length(k)
+            grown += [(script + "0" * j + "1", k) for j in range(t)]
+            grown.append((script + "0" * t, k + 1))
+        scripts = grown
+    return [script for script, _ in scripts]
+
+
+@pytest.mark.parametrize(
+    "params, n_max",
+    [
+        (CounterParams.morris(), 8),
+        (CounterParams.fp(1), 9),
+        (CounterParams.fp(2), 10),
+        (CounterParams.fp(3), 12),
+    ],
+    ids=str,
+)
+def test_scalar_counter_follows_the_chain_law(params, n_max):
+    # n updates of increment over each script consume it exactly, and
+    # the scripts' weights 2**-len, summed by final state, are the exact
+    # step distribution; their mean length is the expected bits summed
+    # over the first n updates
+    for n in range(1, n_max + 1):
+        probs, bits = [Fraction(0)] * (n + 1), Fraction(0)
+        for script in _token_scripts(params, n):
+            src, state = ScriptedBitSource(script), new_counter()
+            for _ in range(n):
+                state = increment(state, params, src)
+            assert src.remaining == 0
+            weight = Fraction(1, 1 << len(script))
+            probs[state.k] += weight
+            bits += weight * len(script)
+        assert tuple(probs) == tuple(step_distribution(params, n, "exact").probs)
+        assert bits == sum(expected_bits(params, m, "exact").expected for m in range(n))

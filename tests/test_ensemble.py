@@ -9,6 +9,7 @@ qary with its per-seed kernel and its vector one.  Everything else
 (stats, merging, checkpoint helpers) is checked against plain numpy.
 """
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,31 @@ class TestEngineEquivalence:
         for i in (0, size // 2, SPAN_WORDS // 2 - 1, SPAN_WORDS // 2, size - 1):
             want = self._scalar_points(params, 60, cps, int(seeds[i]))
             assert list(zip(states[:, i].tolist(), bits[:, i].tolist())) == want
+
+    # sha256 of simulate's states and then bits, as <u8 bytes, at log
+    # checkpoints for seeds child_seed(1, i): the shapes the benchmark runs,
+    # past the sizes the scalar loop checks, pinned as the engine made them
+    # before its scan kernel became one level per call
+    DIGESTS = {
+        ("morris", 1, 32768): "942904b288aa877616e813f43ae0ae71ba3b6d0e506236fcb2f6f81a1bbdc759",
+        ("morris", 32, 2048): "0454a335efeb700de46b1727ac45f96881bd94469d76f063288a917d3297d645",
+        ("morris", 1000, 4096): "d965caa0e846d38c04c34fc5c8ef4d3bbd8d6e296a8ad22557ad472a0371f346",
+        ("fp4", 1, 32768): "c1d6cb5e28801e83308db017bef902dc8407a5369a862b0ccc07ef0cc2185bbf",
+        ("fp4", 32, 2048): "c1bf4f7624f19db3cedaec98afb2c802ebfa1372167c0b1181b467df94bc87fb",
+        ("fp4", 1000, 4096): "a260ad0a87fe85a4040b20980deef4d09da49e164f31dc18850dc18af97644b8",
+        ("fp8", 1, 32768): "5a2fa80fd88307a10bbf4f481b5506dfba45f8d4bd8a54e18c28ac89a43ee8b8",
+        ("fp8", 32, 2048): "147cfef405006a9bdfae4b36cce0f941c15b11644b24ed8cb8534d7449a12718",
+        ("fp8", 1000, 4096): "f2fc0ac57c24cd80f88daec4db127955747e6fb72bb83bd53d4118b84046f058",
+    }
+
+    @pytest.mark.parametrize("key", DIGESTS, ids=lambda key: "-".join(map(str, key)))
+    def test_digests_at_benchmark_shapes(self, key):
+        name, reps, n = key
+        params = {"morris": CounterParams.morris(), "fp4": FP4, "fp8": CounterParams.fp(8)}[name]
+        seeds = np.array([child_seed(1, i) for i in range(reps)], dtype=np.uint64)
+        states, bits, _ = simulate(params, n, seeds, log_checkpoints(n))
+        data = states.astype("<u8").tobytes() + bits.astype("<u8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[key]
 
     def test_column_equals_trajectory(self):
         cps = [1, 10, 200, 1500]

@@ -8,9 +8,8 @@
   ``stream_uniforms53`` reads runs of 53-bit draws for many seeds from
   one position; the stream's definition (``stream_block``) and
   successive ``BitSource.next_uniform53`` calls are their references.
-* ``stream_skip`` runs level batches: the whole ``bernoulli_pow2(t)``
-  scans in a span of blocks, up to a quota of successes, level after
-  level while every stream ends its level in the span, with the state
+* ``stream_skip`` runs one level batch: the whole ``bernoulli_pow2(t)``
+  scans in a span of blocks, up to a quota of successes, with the state
   and position after each goal's scan.  A loop of the scalar scan on a
   ``BitSource`` at the same position, or on a script of the span's bits
   (sparse and all-zero blocks, so zero runs straddle blocks and the
@@ -197,48 +196,34 @@ def test_bulk_uniforms_read_any_number_of_blocks():
     assert draws[:, 0].tolist() == [src.next_uniform53() for _ in range(20000)]
 
 
-def _batches_by_scans(sources, ts, quotas, room, level, goals, ends):
+def _batches_by_scans(sources, ts, quotas, goals, ends):
     """stream_skip's outputs from scalar scans on `sources`.
 
-    Each stream takes whole scans, ending by its stream bit in `ends`,
-    until its quota-th success; while every stream got there, all have
-    room left and one has a goal ahead, all go on at t + 1 for `level`
-    more.  Returns, per stream, the (advances, position) after each
-    goal's scan (None past the scans taken) and at the stop, and the scans.
+    Each stream takes whole scans at its scan length, ending by its stream
+    bit in `ends`, until its quota-th success.  Returns, per stream, the
+    (advances, position) after each goal's scan (None past the scans
+    taken) and at the stop, and the scans.
     """
-    n = len(sources)
-    t, quota, got, done = list(ts), list(quotas), [0] * n, [0] * n
-    at = [{} for _ in range(n)]
-    last = [src.stream_position for src in sources]
-    while True:
-        hit = []
-        for i, src in enumerate(sources):
-            advances = 0
-            while advances < quota[i]:
-                try:
-                    advanced = src.bernoulli_pow2(t[i])
-                except RuntimeError:  # the script, which holds the span, ran out
-                    break
-                if src.stream_position > ends[i]:
-                    break
-                done[i] += 1
-                advances += advanced
-                last[i] = src.stream_position
-                at[i][done[i]] = (got[i] + advances, last[i])
-            got[i] += advances
-            hit.append(advances == quota[i])
-        quota = [min(level, r - g) for r, g in zip(room, got)]
-        ahead = not goals or any(goals[-1][i] > done[i] for i in range(n))
-        if max(t) == MAX_SCAN or not (all(hit) and all(quota) and ahead):
-            break
-        t = [x + 1 for x in t]
-    return [
-        ([at[i].get(row[i]) for row in goals] + [(got[i], last[i])], done[i])
-        for i in range(n)
-    ]
+    out = []
+    for i, src in enumerate(sources):
+        advances = done = 0
+        last, at = src.stream_position, {}
+        while advances < quotas[i]:
+            try:
+                advanced = src.bernoulli_pow2(ts[i])
+            except RuntimeError:  # the script, which holds the span, ran out
+                break
+            if src.stream_position > ends[i]:
+                break
+            done += 1
+            advances += advanced
+            last = src.stream_position
+            at[done] = (advances, last)
+        out.append(([at.get(row[i]) for row in goals] + [(advances, last)], done))
+    return out
 
 
-def _assert_batches(seeds, pos, ts, quotas, room, level, goals, blocks, sources, words):
+def _assert_batches(seeds, pos, ts, quotas, goals, blocks, sources, words):
     # `words`: the largest span array searched in Python ints, so that either
     # form of the search runs
     with mock.patch("fpcount.randbits._INT_WORDS", words):
@@ -247,13 +232,11 @@ def _assert_batches(seeds, pos, ts, quotas, room, level, goals, blocks, sources,
             np.array(pos, dtype=np.uint64),
             np.array(ts, dtype=np.uint64),
             np.array(quotas, dtype=np.uint64),
-            np.array(room, dtype=np.uint64),
-            np.uint64(level),
             np.array(goals, dtype=np.uint64).reshape(-1, len(seeds)),
             blocks,
         )
     span_ends = [((p >> 6) + blocks) * 64 for p in pos]
-    want = _batches_by_scans(sources, ts, quotas, room, level, goals, span_ends)
+    want = _batches_by_scans(sources, ts, quotas, goals, span_ends)
     for i, (points, want_scans) in enumerate(want):
         assert int(scans[i]) == want_scans
         for j, point in enumerate(points):
@@ -266,19 +249,17 @@ scan_lengths = st.one_of(st.integers(1, 8), st.integers(1, MAX_SCAN))
 
 @st.composite
 def batches(draw, streams, positions):
-    """(pos, t, quota, room) per stream, the level size, the goal rows and
-    the span's blocks."""
+    """(pos, t, quota) per stream, the goal rows and the span's blocks."""
     n = len(streams)
     blocks = draw(st.integers(2, 6))
     pos = [draw(positions) for _ in range(n)]
     ts = [draw(scan_lengths) for _ in range(n)]
-    # a level of a few successes ends mid-span, as in fp(0) .. fp(2); a
-    # stream's quota is what is left of its level, and its room what is
-    # left below the ceiling
-    level = draw(st.sampled_from([1, 2, 4, 16, 64]))
-    quota = st.one_of(st.integers(1, min(4, level)), st.integers(1, level))
+    # a stream's quota is what is left of its level: a few successes end
+    # mid-span, as in fp(0) .. fp(2), and quotas all of 1 (as in morris)
+    # take the first-window marks
+    most = draw(st.sampled_from([1, 2, 4, 16, 64]))
+    quota = st.one_of(st.integers(1, min(4, most)), st.integers(1, most))
     qs = [draw(quota) for _ in range(n)]
-    room = [q + draw(st.one_of(st.just(0), st.integers(0, 8), st.integers(0, 200))) for q in qs]
     # goals ascend down each column, and often land mid-span
     g = draw(st.integers(0, 3))
     cols = [
@@ -286,7 +267,7 @@ def batches(draw, streams, positions):
         for _ in range(n)
     ]
     goals = [[col[j] for col in cols] for j in range(g)]
-    return pos, ts, qs, room, level, goals, blocks
+    return pos, ts, qs, goals, blocks
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,14 +282,14 @@ def test_level_batches_match_bernoulli_pow2(data, seeds):
         st.integers(0, 40).map(lambda j: 64 * j + 63),
         st.integers(0, 64 * 41),
     )
-    pos, ts, qs, room, level, goals, blocks = data.draw(batches(seeds, positions))
+    pos, ts, qs, goals, blocks = data.draw(batches(seeds, positions))
     sources = []
     for seed, p in zip(seeds, pos):
         src = BitSource(seed)
         src.take_bits(p)
         sources.append(src)
     words = data.draw(st.sampled_from([0, 1 << 20]))
-    _assert_batches(seeds, pos, ts, qs, room, level, goals, blocks, sources, words)
+    _assert_batches(seeds, pos, ts, qs, goals, blocks, sources, words)
 
 
 words = st.one_of(
@@ -327,7 +308,7 @@ words = st.one_of(
 def test_level_batches_on_sparse_spans(data, spans):
     # zero and sparse blocks: long scans succeed, and zero runs straddle
     # blocks and the span's end; the span starts in block 0 of each stream
-    pos, ts, qs, room, level, goals, blocks = data.draw(batches(spans, st.integers(0, 63)))
+    pos, ts, qs, goals, blocks = data.draw(batches(spans, st.integers(0, 63)))
     span = np.array([words[:blocks] for words in spans], dtype=np.uint64).T
     sources = []
     for words_, p in zip(spans, pos):
@@ -336,7 +317,7 @@ def test_level_batches_on_sparse_spans(data, spans):
         sources.append(src)
     words = data.draw(st.sampled_from([0, 1 << 20]))
     with mock.patch("fpcount.randbits._blocks", lambda seeds, first, count: span.copy()):
-        _assert_batches([0] * len(spans), pos, ts, qs, room, level, goals, blocks, sources, words)
+        _assert_batches([0] * len(spans), pos, ts, qs, goals, blocks, sources, words)
 
 
 def test_exact_bit_helpers():

@@ -70,6 +70,44 @@ def test_index_bounds(width):
     assert src.stream_position == 0
 
 
+@pytest.mark.parametrize("width", [6, 8, 12])
+@pytest.mark.parametrize("entry", ["get_state", "increment", "estimate"])
+def test_slot_index_is_read_by_the_integer_rule(width, entry):
+    # a numpy int reads as its Python int on every width; a float or a
+    # string is refused with the rule's message, and a value outside the
+    # slots with the range check's IndexError
+    def call(table, index, src):
+        if entry == "increment":
+            return table.increment(index, src)
+        return getattr(table, entry)(index)
+
+    table, twin = CounterTable(4, 2, width), CounterTable(4, 2, width)
+    src, twin_src = BitSource(3), BitSource(3)
+    for index in (np.int64(1), np.uint8(1)):
+        got, want = call(table, index, src), call(twin, 1, twin_src)
+        assert got == want and type(got) is type(want)
+        if entry == "estimate":
+            assert type(got.lower_bound) is bool
+    assert table.to_bytes() == twin.to_bytes()
+    assert src.stream_position == twin_src.stream_position
+    for bad in (2.5, "1"):
+        with pytest.raises(ValueError, match=f"^slot index {bad!r} is not an integer$"):
+            call(table, bad, src)
+    for index in (-1, 4, np.int64(-1), np.uint8(4)):
+        with pytest.raises(IndexError, match=rf"^slot {index} out of range \(0\.\.3\)$"):
+            call(table, index, src)
+    assert table.to_bytes() == twin.to_bytes()
+
+
+def test_numpy_index_does_not_poison_the_shared_estimates():
+    # _slot_estimate is cached under (d, width, k), a key a numpy k equals:
+    # a numpy index read first must leave the int reads behind it
+    _slot_estimate.cache_clear()
+    assert CounterTable(8, 0, 12).estimate(np.int64(2)) == SlotEstimate(0.0, False)
+    lower = CounterTable(8, 0, 12).estimate(5).lower_bound
+    assert lower is False
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_random_writes_round_trip(width, with_slot):
     """Packed slots behave exactly like a list of ints (model test)."""
