@@ -24,17 +24,16 @@ step applies that prefix first.
 
 qary compares a 53-bit uniform per update and cannot skip, but its draws
 do not depend on the state: a live counter's update m reads stream bits
-[53(m - 1), 53m), so all live replicates read at the same position.  It
-has a per-seed kernel, which runs one replicate after another in Python
-floats, and a vector kernel, which runs all replicates side by side in
-numpy arrays; a vector round costs tens of microseconds however few
-replicates it carries, so :func:`simulate` runs the per-seed kernel
-below ``_VECTOR_MIN`` seeds.  Both read the draws in chunks of about
-``_DRAWS`` with ``stream_uniforms53``, which mixes each block once.  The
-vector kernel makes each update one compare for all replicates against
-a table of q_k, grown chunk by chunk to the states the chunk can reach;
-the per-seed kernel loops over one seed's draws as Python floats,
-against q_k computed once for all its seeds.
+[53(m - 1), 53m), so all live replicates read at the same position.  Both
+qary kernels read the draws in chunks of about ``_DRAWS`` with
+``stream_uniforms53``, which mixes each block once.  The vector kernel
+makes each update one compare for all replicates against a table of q_k,
+grown chunk by chunk to the states the chunk can reach; a round of it
+costs microseconds however few replicates it carries, so below
+``_VECTOR_MIN`` seeds :func:`simulate` runs the per-seed kernel, one seed
+after another in Python floats.  As q_k falls with k, only the draws of a
+window of ``_WALK`` that lie below q at its first state can advance, and
+that kernel steps through those alone.
 
 Counters saturate at the scalar path's ``DEFAULT_CEILING``: once there
 they stay put and consume no bits.
@@ -50,7 +49,7 @@ import math
 
 import numpy as np
 
-from .chain import CounterParams, Family, estimate_float, transition_prob
+from .chain import CounterParams, Family, _transition_probs, estimate_float, transition_prob
 from .counters import DEFAULT_CEILING
 from .randbits import SPAN_WORDS, UNIFORM_BITS, stream_skip, stream_uniforms53
 
@@ -58,8 +57,10 @@ from .randbits import SPAN_WORDS, UNIFORM_BITS, stream_skip, stream_uniforms53
 # 128 KB, so memory is bounded for any n and replicate count
 _DRAWS = 1 << 14
 _CEILING = np.uint64(DEFAULT_CEILING)
-# qary runs fewer seeds than this one at a time (qary(2**20) crosses over near 8)
-_VECTOR_MIN = 8
+_WALK = 1 << 9  # the draws the per-seed qary kernel filters at one state
+# qary runs fewer seeds than this one at a time: qary(16) crosses over near
+# 32 at n = 2048 and past 128 at n = 10**5, qary(2**20) near 16
+_VECTOR_MIN = 32
 # the most replicates one kernel call runs, so that a scan span holds 2
 # blocks of each within SPAN_WORDS
 _SLICE = SPAN_WORDS // 2
@@ -132,29 +133,36 @@ def _thresholds(params, table: np.ndarray, top: int) -> np.ndarray:
 
 
 def _qary_trajectory(params, seeds, cps, states, bits) -> None:
-    # the per-seed form of _qary_updates, on each seed's draws as floats;
-    # q[k] is computed once, by the first seed to reach k
+    # the candidates of a window, or all its draws where q is above 1/2;
+    # the updates a seed advanced at give its states and bits.  q is grown
+    # once for all seeds, with 0 at the ceiling, where a counter stays put
     q = [transition_prob(params, 0)]
     for i in range(seeds.size):
-        k = m = ci = 0
-        qk = q[0]
+        at = []
+        k = m = 0
         while m < cps[-1] and k < DEFAULT_CEILING:
             count = min(_DRAWS, cps[-1] - m)
-            draws = stream_uniforms53(seeds[i : i + 1], UNIFORM_BITS * m, count)
-            for u in draws[:, 0].tolist():
-                m += 1
-                if u < qk:
-                    k += 1
-                    if k == DEFAULT_CEILING:
-                        break
-                    if k == len(q):
-                        q.append(transition_prob(params, k))
-                    qk = q[k]
-                if m == cps[ci]:
-                    states[ci, i], bits[ci, i] = k, UNIFORM_BITS * m
-                    ci += 1
-        # a saturated counter keeps its state and bits to the end
-        states[ci:, i], bits[ci:, i] = k, UNIFORM_BITS * m
+            u = stream_uniforms53(seeds[i : i + 1], UNIFORM_BITS * m, count)[:, 0]
+            for w in range(0, count, _WALK):
+                part, qk = u[w : w + _WALK], q[k]
+                if qk > 0.5:
+                    walk = enumerate(part.tolist(), m + w + 1)
+                else:
+                    cand = np.flatnonzero(part < qk)
+                    walk = zip((cand + (m + w + 1)).tolist(), part[cand].tolist())
+                for update, draw in walk:
+                    if draw < qk:
+                        at.append(update)
+                        k += 1
+                        if k == len(q):
+                            top = min(2 * k, DEFAULT_CEILING)
+                            q += _transition_probs(params, k, top).tolist() or [0.0]
+                        qk = q[k]
+            m += count
+        # a saturated counter keeps its state and bits from its last advance on
+        end = at[-1] if k == DEFAULT_CEILING else m
+        states[:, i] = [bisect.bisect_right(at, c) for c in cps]
+        bits[:, i] = [UNIFORM_BITS * min(c, end) for c in cps]
 
 
 def _scan_rounds(params, seeds, cps, states, bits) -> None:
@@ -215,12 +223,12 @@ def _span_blocks(top: int, level: int, left: int, rows: int) -> int:
 
     A level's successes take 2**t scans each, about 2**(t + 1) bits: on
     average 2 * level * 2**t bits, give or take 2 * sqrt(level) * 2**t.
-    The span covers that mean and two such deviations three times over
-    at the highest t, or the `left` scans to the last checkpoint at 2
-    bits each, whichever is less; and the array stays within SPAN_WORDS,
-    which holds 2 blocks of each of at most SPAN_WORDS // 2 rows.  The
-    factor 3 was measured, and stays until it is measured again: spans
-    of one and two levels won on some shapes and tied or lost on others.
+    The span covers that mean and two such deviations at the highest t,
+    or the `left` scans to the last checkpoint at 2 bits each, whichever
+    is less; and the array stays within SPAN_WORDS, which holds 2 blocks
+    of each of at most SPAN_WORDS // 2 rows.  A level that outruns its
+    span goes on in the next round; spans three times this size ran
+    one-seed trajectories about a fifth slower, and ensembles no faster.
     """
-    need = min(3 * (level + 2 * math.sqrt(level)) * 2.0**top, left) / 32
+    need = min((level + 2 * math.sqrt(level)) * 2.0**top, left) / 32
     return int(min(2 + need, SPAN_WORDS // rows))

@@ -46,11 +46,11 @@ UNIFORM_BITS = 53  # the bits a uniform draw consumes
 _U53 = 2.0**-UNIFORM_BITS
 MAX_SCAN = 64  # the longest scan stream_skip takes
 SPAN_WORDS = 1 << 14  # the most blocks a stream_skip span holds, over all streams
-# a span array of up to this many words takes its level batches' marks and
-# search in Python ints, a stream at a time: a few dozen int operations,
-# where the word form makes about fifty numpy calls, each of which costs
-# 5 to 25 us the first time it runs after other work
-_INT_WORDS = 64
+# n streams of at most _INT_WORDS >> n blocks each take the windows, marks
+# and search in Python ints: a few dozen int operations per stream, where
+# the word form makes about sixty numpy calls of 5 to 25 us each when cold;
+# timed, the word form won from about the bound on, the int form below it
+_INT_WORDS = 2048
 
 # uint64 images for the vectorized reader, made once so that no array
 # operation has to convert a Python int
@@ -201,6 +201,11 @@ def stream_skip(
     origin = pos - cut + _V1
     bits = _blocks(seeds, pos >> _V6, blocks)
     bits[0] |= ~(_V_ALL >> cut)
+    # every window starts a success where t is 1 for all, and where every
+    # quota is 1 the scans stop at the first window and no later mark counts
+    first_only = top == 1 or int(quota.max()) == 1
+    if blocks <= _INT_WORDS >> n:
+        return _level_by_ints(bits, t, first_only, cut, quota, goals, origin)
     # bit 63 - b of win[i]: span bits 64 i + b .. 64 i + b + t - 1 are
     # all 0; zero rows stand before and after the span
     pad = np.zeros((blocks + 2, n), dtype=np.uint64)
@@ -212,11 +217,6 @@ def stream_skip(
         carry >>= tab[6 + i]
         carry |= win << tab[i]
         win &= carry
-    # every window starts a success where t is 1 for all, and where every
-    # quota is 1 the scans stop at the first window and no later mark counts
-    first_only = top == 1 or int(quota.max()) == 1
-    if bits.size <= _INT_WORDS:
-        return _level_by_ints(bits, win, tab[12], first_only, cut, quota, goals, origin)
     # marks[0]: the scans' last bits; marks[1]: the successes' first bits,
     # the first window of each run of windows and every t-th one on
     marks = np.empty((2, blocks, n), dtype=np.uint64)
@@ -275,21 +275,27 @@ def stream_skip(
     return advances, ends, scans
 
 
-def _level_by_ints(bits, win, back, first_only, cut, quota, goals, origin):
-    """The search of stream_skip for a small span, stream by stream in
+def _level_by_ints(bits, t, first_only, cut, quota, goals, origin):
+    """The search of stream_skip for a few streams, stream by stream in
     Python ints: a stream's span bits and windows each as one int, first
     bit highest.
 
-    The successes' marks and the search follow the word form: the first
-    window of each run of windows and every t-th one on, and the r-th mark
-    found by bisection on prefix counts.
+    The windows, the complement shift-ANDed in the word form's doubling
+    steps, end within the span; the successes' marks and the search follow
+    the word form: the first window of each run of windows and every t-th
+    one on, and the r-th mark found by halving on prefix counts.
     """
     size = 64 * len(bits)
+    full = (1 << size) - 1
     advances, ends, scans = [], [], []
-    for ones, zeros, back_i, cut_i, quota_i, goals_i, origin_i in zip(
-        _ints(bits), _ints(win), back.tolist(), cut.tolist(), quota.tolist(),
-        goals.T.tolist(), origin.tolist(),
+    for ones, t_i, cut_i, quota_i, goals_i, origin_i in zip(
+        _ints(bits), t.tolist(), cut.tolist(), quota.tolist(), goals.T.tolist(),
+        origin.tolist(),
     ):
+        zeros, run, back_i = full ^ ones, 1, t_i - 1
+        while run < t_i:
+            zeros &= zeros << min(run, t_i - run)
+            run <<= 1
         if first_only:
             started = zeros
         else:
@@ -326,16 +332,19 @@ def _ints(words: np.ndarray) -> list[int]:
 def _after_ones(x: int, n: int, r: int) -> int:
     """Offset just past the r-th 1 of the n-bit x, counting from its first bit.
 
-    Requires 1 <= r <= x.bit_count(); a bisection on prefix popcounts.
+    Requires 1 <= r <= x.bit_count(); each step keeps the half of what is
+    left that holds that 1, so the steps read about 2n bits in all.
     """
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if (x >> (n - mid)).bit_count() < r:
-            lo = mid
+    before = 0
+    while n > 1:
+        half = n >> 1
+        ones = (x >> (n - half)).bit_count()
+        if ones < r:
+            x &= (1 << (n - half)) - 1
+            r, before, n = r - ones, before + half, n - half
         else:
-            hi = mid
-    return hi
+            x, n = x >> (n - half), half
+    return before + 1
 
 
 # _BYTE_ONES[v]: the 1s of byte v; _BYTE_NTH[v, r]: the offset of its r-th

@@ -12,7 +12,8 @@ once per process and shared by every width-8 table of that d.
 
 A slot whose value reaches 2**width - 1 is saturated: it is counted
 once in ``saturation_count``, further increments leave it unchanged,
-and its estimate is flagged as a lower bound.
+and its estimate is flagged as a lower bound.  A snapshot whose count
+is not its payload's saturated slots is refused.
 
 Snapshot format (version 1, all fields little-endian)::
 
@@ -35,6 +36,8 @@ import math
 import struct
 import sys
 from typing import NamedTuple
+
+import numpy as np
 
 from .chain import CounterParams, _integer, estimate_float
 from .randbits import BitStream
@@ -61,6 +64,19 @@ def _slot_estimate(d: int, width: int, k: int) -> SlotEstimate:
 def _byte_reads(d: int) -> tuple[SlotEstimate, ...]:
     # every read of a width-8 slot, indexed by the slot's byte
     return tuple(_slot_estimate(d, 8, k) for k in range(256))
+
+
+def _saturated(payload: bytes, num_slots: int, width: int) -> int:
+    """The slots of `payload` that hold 2**width - 1, unpacked 2**16 at a time."""
+    data, held = np.frombuffer(payload, dtype=np.uint8), 0
+    if width == 8:
+        return int(np.count_nonzero(data == 255))
+    for lo in range(0, num_slots, 1 << 16):
+        slots = min(1 << 16, num_slots - lo)
+        part = data[lo * width >> 3 : (lo * width >> 3) + width * 8192]
+        ones = np.unpackbits(part, count=slots * width, bitorder="little")
+        held += np.count_nonzero(ones.reshape(slots, width).all(axis=1))
+    return held
 
 
 class CounterTable:
@@ -173,19 +189,21 @@ class CounterTable:
             raise ValueError(f"bad snapshot magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        # both checks precede construction, so a crafted header cannot
-        # request an allocation its payload does not back
+        # the length check precedes construction, so a crafted header
+        # cannot request an allocation its payload does not back
         payload = blob[_HEADER.size :]
         if len(payload) != (num_slots * width + 7) >> 3:
             raise ValueError(
                 f"payload length {len(payload)} does not match "
                 f"{num_slots} slots of {width} bits"
             )
-        if saturation_count > num_slots:
-            raise ValueError(
-                f"saturation count {saturation_count} exceeds {num_slots} slots"
-            )
         table = cls(num_slots, d, width)
+        held = _saturated(payload, num_slots, width)
+        if saturation_count != held:
+            raise ValueError(
+                f"saturation count {saturation_count} does not match "
+                f"the payload's {held} saturated slots"
+            )
         table._data[:] = payload
         table.saturation_count = saturation_count
         return table

@@ -14,6 +14,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcount import (
     CounterParams,
@@ -29,7 +31,7 @@ from fpcount import (
     transition_prob,
     variance_fn,
 )
-from fpcount._engine import _VECTOR_MIN, simulate
+from fpcount._engine import _DRAWS, _VECTOR_MIN, _WALK, _qary_trajectory, simulate
 from fpcount.chain import Family
 from fpcount.randbits import SPAN_WORDS, BitSource, child_seed, stream_skip
 
@@ -168,6 +170,28 @@ class TestEngineEquivalence:
         # counter then stays put and draws no bits, and so must the engine
         self._assert_matches_scalar(params, 70000, [65535, 65536, 70000], seed=5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.sampled_from([1, 2, 16, 2**20]),
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**64 - 1),
+        draws=st.sampled_from([53, 1000, _DRAWS]),
+        walk=st.sampled_from([1, 7, _WALK]),
+        data=st.data(),
+    )
+    def test_per_seed_qary_kernel_matches_scalar(self, r, n, seed, draws, walk, data):
+        # qary(2**20), and the first states of every qary, walk every draw;
+        # the rest walk only the draws below q, window by window.  Small
+        # chunks and windows put their edges among the advances
+        params = CounterParams.qary(r)
+        cps = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=8)) | {n})
+        states = np.zeros((len(cps), 1), dtype=np.uint64)
+        bits = np.zeros_like(states)
+        with mock.patch("fpcount._engine._DRAWS", draws), mock.patch("fpcount._engine._WALK", walk):
+            _qary_trajectory(params, np.array([seed], dtype=np.uint64), cps, states, bits)
+        want = self._scalar_points(params, n, cps, seed)
+        assert list(zip(states[:, 0].tolist(), bits[:, 0].tolist())) == want
+
     @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
     def test_many_replicates_run_in_bounded_slices(self, params):
         # past SPAN_WORDS // 2 replicates the kernels run a slice at a
@@ -206,12 +230,22 @@ class TestEngineEquivalence:
         ("fp8", 1, 32768): "5a2fa80fd88307a10bbf4f481b5506dfba45f8d4bd8a54e18c28ac89a43ee8b8",
         ("fp8", 32, 2048): "147cfef405006a9bdfae4b36cce0f941c15b11644b24ed8cb8534d7449a12718",
         ("fp8", 1000, 4096): "f2fc0ac57c24cd80f88daec4db127955747e6fb72bb83bd53d4118b84046f058",
+        # recorded before the per-seed qary kernel walked only its candidates
+        ("qary16", 1, 32768): "eba1f87b7f3bb2f0f1c847479c24905062cca8d2199bb950911807184a41a57d",
+        ("qary16", 4, 100000): "c28de5f0a619aa6af486b47f9a680b16133b351f48611b0ca18f4dd76367f8b2",
+        ("qary16", 32, 2048): "79b98f7ff3d0a7539dc5b2489520a23b637bd35b56bb9cc443dc3987e7a85d48",
+        ("qary16", 1000, 4096): "49fe0e45bdb0c51aa306fae522bf9d36b15bc8e0b733055ae021ac581fe65afa",
     }
 
     @pytest.mark.parametrize("key", DIGESTS, ids=lambda key: "-".join(map(str, key)))
     def test_digests_at_benchmark_shapes(self, key):
         name, reps, n = key
-        params = {"morris": CounterParams.morris(), "fp4": FP4, "fp8": CounterParams.fp(8)}[name]
+        params = {
+            "morris": CounterParams.morris(),
+            "fp4": FP4,
+            "fp8": CounterParams.fp(8),
+            "qary16": CounterParams.qary(16),
+        }[name]
         seeds = np.array([child_seed(1, i) for i in range(reps)], dtype=np.uint64)
         states, bits, _ = simulate(params, n, seeds, log_checkpoints(n))
         data = states.astype("<u8").tobytes() + bits.astype("<u8").tobytes()

@@ -386,7 +386,7 @@ def test_table_matches_scalar_replay(run, with_slot):
     for i, k in enumerate(start):
         table = with_slot(table, i, k)
     states = [CounterState(k) for k in start]
-    saturated = 0
+    saturated = start.count(ceiling)
     src, ref = BitSource(seed), BitSource(seed)
     for i in events:
         before = states[i]

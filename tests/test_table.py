@@ -180,7 +180,8 @@ def _snapshot(d: int, width: int, states: list[int]) -> bytes:
     # the documented layout: header, then slot i at bits [i*width, (i+1)*width)
     size = (len(states) * width + 7) >> 3
     payload = sum(k << (i * width) for i, k in enumerate(states))
-    header = struct.pack("<4sHBBQQ", b"FPCT", 1, d, width, len(states), 0)
+    saturated = states.count((1 << width) - 1)
+    header = struct.pack("<4sHBBQQ", b"FPCT", 1, d, width, len(states), saturated)
     return header + payload.to_bytes(size, "little")
 
 
@@ -227,19 +228,37 @@ def test_counts_past_half_a_million_in_one_byte():
 
 
 class TestSnapshots:
-    def test_round_trip(self):
+    def test_round_trip(self, with_slot):
         table = CounterTable(29, 3, 7)
         src = BitSource(5)
         for i in range(29):
             for _ in range(i * 3):
                 table.increment(i, src)
-        table.saturation_count = 4  # exercise the header field
+        for i in (0, 5, 17, 28):
+            table = with_slot(table, i, 127)  # exercise the header field
         clone = CounterTable.from_bytes(table.to_bytes())
         assert clone.num_slots == 29 and clone.d == 3 and clone.width == 7
         assert clone.saturation_count == 4
         assert [clone.get_state(i) for i in range(29)] == [
             table.get_state(i) for i in range(29)
         ]
+
+    def test_counts_saturated_slots_past_one_pass(self):
+        # 2**16 + 10 slots of width 12, two in three bytes; slots 101 and
+        # 2**16 + 6 are saturated, either side of the first 2**16 slots
+        def pair(a, b):
+            return (a | b << 12).to_bytes(3, "little")
+
+        pairs = [pair(4094, 4094)] * (2**15 + 5)
+        pairs[50], pairs[2**15 + 3] = pair(4094, 4095), pair(4095, 4094)
+        blob = bytearray(struct.pack("<4sHBBQQ", b"FPCT", 1, 4, 12, 2**16 + 10, 2))
+        blob += b"".join(pairs)
+        table = CounterTable.from_bytes(bytes(blob))
+        assert table.saturation_count == 2
+        assert table.get_state(101) == table.get_state(2**16 + 6) == 4095
+        blob[16:24] = (1).to_bytes(8, "little")
+        with pytest.raises(ValueError, match="does not match the payload's 2 saturated"):
+            CounterTable.from_bytes(bytes(blob))
 
     def test_save_load(self, tmp_path, with_slot):
         table = with_slot(CounterTable(5, 1, 6), 2, 33)
@@ -281,4 +300,21 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="saturation count"):
             CounterTable.from_bytes(bytes(blob))
         blob[16:24] = (4).to_bytes(8, "little")
+        blob[24:] = b"\xff" * 4
         assert CounterTable.from_bytes(bytes(blob)).saturation_count == 4
+
+    @pytest.mark.parametrize("width", [6, 8, 12])
+    def test_rejects_saturation_count_unlike_payload(self, width):
+        # slots 0 and 70 of 75 saturated, the others one below the top:
+        # only a count of 2 agrees with the payload
+        top = (1 << width) - 1
+        states = [top] + [top - 1] * 69 + [top] + [top - 1] * 4
+        blob = bytearray(_snapshot(4, width, states))
+        assert CounterTable.from_bytes(bytes(blob)).saturation_count == 2
+        for count in (0, 1, 3, 75):
+            blob[16:24] = count.to_bytes(8, "little")
+            with pytest.raises(ValueError) as exc:
+                CounterTable.from_bytes(bytes(blob))
+            assert str(exc.value) == (
+                f"saturation count {count} does not match the payload's 2 saturated slots"
+            )
