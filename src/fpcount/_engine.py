@@ -125,11 +125,12 @@ def _thresholds(params, table: np.ndarray, top: int) -> np.ndarray:
     The ceiling state's entry is 0, so a saturated counter never advances.
     """
     top = min(top, DEFAULT_CEILING)
-    new = [
-        0.0 if kk == DEFAULT_CEILING else transition_prob(params, kk)
-        for kk in range(table.size, top + 1)
-    ]
-    return np.concatenate([table, new]) if new else table
+    if top < table.size:
+        return table
+    new = _transition_probs(params, table.size, top + 1)
+    if top == DEFAULT_CEILING:
+        new[-1] = 0.0
+    return np.concatenate([table, new])
 
 
 def _qary_trajectory(params, seeds, cps, states, bits) -> None:

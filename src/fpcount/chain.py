@@ -40,6 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 _LN2 = math.log(2.0)
+# estimate_float stores the values of states below this, at most this many
+_READ_STATES = 1 << 16
 
 __all__ = [
     "AccuracyBounds",
@@ -86,6 +88,9 @@ class CounterParams:
     # the exponent shift of the bit-scan families, t = k >> _shift: d for
     # fp and 0 for morris, the fp chain with d = 0; None for qary
     _shift: int | None = field(default=None, init=False, repr=False, compare=False)
+    # estimate_float's values by state, for the states below _READ_STATES
+    # it has read
+    _reads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
@@ -102,6 +107,10 @@ class CounterParams:
             if self.d is not None or self.r is not None:
                 raise ValueError("morris counter takes neither d nor r")
             object.__setattr__(self, "_shift", 0)
+
+    def __reduce__(self):
+        # a copy or a pickle starts with no reads cached
+        return CounterParams, (self.family, self.d, self.r)
 
     @classmethod
     def morris(cls) -> "CounterParams":
@@ -345,13 +354,37 @@ def estimate_float(params: CounterParams, k: int) -> float:
     """:func:`estimate` coerced to float.
 
     Raises CounterRangeError when the value exceeds the double range
-    (possible for saturated wide-exponent states).  With k = M*t + u the
-    closed form (M + u)*2**t - M is at least 2**t - 1 for t >= 1, so
-    t > 1024 is refused before the astronomically large integer is built.
-    The qary closed form lives here, and :func:`estimate` returns it.
+    (possible for saturated wide-exponent states).  For qary,
+    :func:`estimate` returns this value.
+
+    A run reads few distinct states many times, so each `params` keeps
+    the values it has computed for states below 2**16, which covers every
+    state the engine's ceiling or a table of width 16 or less can hold;
+    a later read of such a state is one lookup.  Higher states are
+    computed on every read, and errors are never stored: a refused state
+    raises on every call.  Copies and pickles start with nothing stored.
     """
     if k.__class__ is not int or k < 0:
         k = _integer(k, "state", 0)
+    if k >= _READ_STATES:
+        return _estimate_float(params, k)
+    try:
+        return params._reads[k]
+    except KeyError:
+        pass
+    # racing threads store the same value, and the bound is on k, not on
+    # the size, so a read needs no lock
+    f = params._reads[k] = _estimate_float(params, k)
+    return f
+
+
+def _estimate_float(params: CounterParams, k: int) -> float:
+    """f(k) as a double for a Python int k >= 0, computed afresh.
+
+    The qary closed form lives here.  With k = M*t + u the closed form
+    (M + u)*2**t - M is at least 2**t - 1 for t >= 1, so t > 1024 is
+    refused before the astronomically large integer is built.
+    """
     d = params._shift
     if d is None:
         r = params.r

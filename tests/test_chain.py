@@ -4,10 +4,15 @@ asymptotic accuracy windows, and float-range policing."""
 
 import decimal
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcount import (
     AccuracyBounds,
@@ -342,3 +347,117 @@ class TestEstimateFloat:
 
     def test_range_error_is_an_overflow_error(self):
         assert issubclass(CounterRangeError, OverflowError)
+
+
+# every family's reads, shared across examples so that later reads find
+# earlier ones stored; nothing below assumes any of them starts empty
+READ_PARAMS = (
+    [MORRIS]
+    + [CounterParams.fp(d) for d in range(9)]
+    + [CounterParams.qary(r) for r in (1, 2, 16, 2**20)]
+)
+
+
+def _closed_form(params, k):
+    """f(k) as a double, computed here without any cache; None past the range."""
+    try:
+        if params.family is Family.QARY:
+            ln2 = math.log(2.0)
+            f = math.expm1(k * ln2 / params.r) / math.expm1(ln2 / params.r)
+        else:
+            f = float(estimate(params, k))
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
+
+
+class TestReadCache:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        params=st.sampled_from(READ_PARAMS),
+        ks=st.lists(
+            st.one_of(
+                st.integers(0, 300),
+                st.integers(2**16 - 3, 2**16 + 3),
+                st.integers(0, 2**18),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        data=st.data(),
+    )
+    def test_every_read_is_the_closed_form(self, params, ks, data):
+        # each state twice, the second time in another order, and as a numpy
+        # int too: the first read of a state may store it, the rest find it
+        order = ks + data.draw(st.permutations(ks))
+        for k in order:
+            want = _closed_form(params, k)
+            for state in (k, np.int64(k)):
+                if want is None:
+                    with pytest.raises(CounterRangeError):
+                        estimate_float(params, state)
+                else:
+                    got = estimate_float(params, state)
+                    assert type(got) is float
+                    assert got == want, (params, k)
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(CounterRangeError):
+                estimate_float(MORRIS, 20000)
+            for bad, message in [
+                (-1, r"state -1 is outside 0\.\.inf"),
+                (np.int64(-1), r"state -1 is outside 0\.\.inf"),
+                (2.5, "state 2.5 is not an integer"),
+                (3.0, "state 3.0 is not an integer"),
+            ]:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    estimate_float(FP4, bad)
+        assert 20000 not in MORRIS._reads
+
+    @pytest.mark.parametrize("params", [CounterParams.fp(8), CounterParams.qary(2**20)])
+    def test_stores_at_most_two_to_the_sixteen_states(self, params):
+        states = range(2**16 + 100)
+        for _ in range(2):
+            for k in states:
+                assert estimate_float(params, k) == _closed_form(params, k)
+            assert len(params._reads) <= 2**16
+
+    def test_threads_share_one_params(self):
+        # reads race on one params from more threads than cores; a store is
+        # the value every thread computes, so none can read another
+        params = CounterParams.fp(6)
+        want = [_closed_form(params, k) for k in range(3000)]
+        got, interval = [None] * 6, sys.getswitchinterval()
+
+        def read(i):
+            # each thread starts at another state
+            ks = [(500 * i + j) % 3000 for j in range(3000)]
+            got[i] = {k: estimate_float(params, k) for k in ks}
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(values == dict(enumerate(want)) for values in got)
+        assert [estimate_float(params, k) for k in range(3000)] == want
+
+    def test_a_warm_params_is_a_fresh_one(self):
+        warm = CounterParams.qary(16)
+        for k in range(500):
+            estimate_float(warm, k)
+        fresh = CounterParams.qary(16)
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(warm))
+        assert back == fresh and hash(back) == hash(fresh) and repr(back) == repr(fresh)
+        assert [estimate_float(back, k) for k in range(500)] == [
+            estimate_float(fresh, k) for k in range(500)
+        ]

@@ -31,8 +31,9 @@ from fpcount import (
     transition_prob,
     variance_fn,
 )
-from fpcount._engine import _DRAWS, _VECTOR_MIN, _WALK, _qary_trajectory, simulate
+from fpcount._engine import _DRAWS, _VECTOR_MIN, _WALK, _qary_trajectory, _thresholds, simulate
 from fpcount.chain import Family
+from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import SPAN_WORDS, BitSource, child_seed, stream_skip
 
 FP4 = CounterParams.fp(4)
@@ -191,6 +192,18 @@ class TestEngineEquivalence:
             _qary_trajectory(params, np.array([seed], dtype=np.uint64), cps, states, bits)
         want = self._scalar_points(params, n, cps, seed)
         assert list(zip(states[:, 0].tolist(), bits[:, 0].tolist())) == want
+
+    @pytest.mark.parametrize("r", [1, 16, 2**20])
+    def test_vector_qary_table_is_the_scalar_probability(self, r):
+        # grown in uneven steps past the ceiling, whose entry is 0 so that a
+        # saturated counter stays put
+        params = CounterParams.qary(r)
+        table = np.zeros(0)
+        for top in (0, 1, 2, 700, 700, 40000, DEFAULT_CEILING - 1, 2**20):
+            table = _thresholds(params, table, top)
+            assert table.size == min(top, DEFAULT_CEILING) + 1
+        want = [transition_prob(params, k) for k in range(DEFAULT_CEILING)] + [0.0]
+        assert table.tolist() == want
 
     @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
     def test_many_replicates_run_in_bounded_slices(self, params):
