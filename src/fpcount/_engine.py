@@ -24,16 +24,13 @@ step applies that prefix first.
 
 qary compares a 53-bit uniform per update and cannot skip, but its draws
 do not depend on the state: a live counter's update m reads stream bits
-[53(m - 1), 53m), so all live replicates read at the same position.  Both
-qary kernels read the draws in chunks of about ``_DRAWS`` with
-``stream_uniforms53``, which mixes each block once.  The vector kernel
-makes each update one compare for all replicates against a table of q_k,
-grown chunk by chunk to the states the chunk can reach; a round of it
-costs microseconds however few replicates it carries, so below
-``_VECTOR_MIN`` seeds :func:`simulate` runs the per-seed kernel, one seed
-after another in Python floats.  As q_k falls with k, only the draws of a
-window of ``_WALK`` that lie below q at its first state can advance, and
-that kernel steps through those alone.
+[53(m - 1), 53m), so all live replicates read at the same position.  Its
+one kernel reads the draws of all replicates in chunks of about
+``_DRAWS`` with ``stream_uniforms53``, which mixes each block once, and
+cuts each chunk into windows.  As q_k falls with k, only a window's draws
+below q at each replicate's first state can advance it.  Where fewer
+than ``_WALK`` of these candidates fall in a row, the window walks them
+in Python; otherwise it steps every replicate a row at a time.
 
 Counters saturate at the scalar path's ``DEFAULT_CEILING``: once there
 they stay put and consume no bits.
@@ -49,18 +46,22 @@ import math
 
 import numpy as np
 
-from .chain import CounterParams, Family, _transition_probs, estimate_float, transition_prob
+from .chain import CounterParams, Family, _transition_probs, estimate_float
 from .counters import DEFAULT_CEILING
 from .randbits import SPAN_WORDS, UNIFORM_BITS, stream_skip, stream_uniforms53
+
+# Nothing here calls this; it stays an _engine attribute because the
+# benchmark's tracer (bench/fpbench/tracer.py) wraps it by name.
+from .chain import transition_prob
 
 # qary draws per chunk, over all replicates: each chunk array stays near
 # 128 KB, so memory is bounded for any n and replicate count
 _DRAWS = 1 << 14
 _CEILING = np.uint64(DEFAULT_CEILING)
-_WALK = 1 << 9  # the draws the per-seed qary kernel filters at one state
-# qary runs fewer seeds than this one at a time: qary(16) crosses over near
-# 32 at n = 2048 and past 128 at n = 10**5, qary(2**20) near 16
-_VECTOR_MIN = 32
+# a qary window spans about _WINDOW candidate draws of its lowest column,
+# and is walked where it has fewer than _WALK candidates a row
+_WINDOW = 64
+_WALK = 8
 # the most replicates one kernel call runs, so that a scan span holds 2
 # blocks of each within SPAN_WORDS
 _SLICE = SPAN_WORDS // 2
@@ -78,18 +79,13 @@ def simulate(
     `checkpoints` are sorted, distinct ints in 1..n_max (``chain._update_counts``).
     Returns (states, bits, estimates), each shaped (len(checkpoints), seeds.size);
     `bits` is the exact count of stream bits consumed up to the checkpoint.
-    The outputs do not depend on which kernels run.
+    A replicate's outputs do not depend on how many seeds run with it.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
     states = np.zeros((len(checkpoints), seeds.size), dtype=np.uint64)
     bits = np.zeros_like(states)
     if checkpoints:
-        if params.family is not Family.QARY:
-            kernel = _scan_rounds
-        elif seeds.size >= _VECTOR_MIN:
-            kernel = _qary_updates
-        else:
-            kernel = _qary_trajectory
+        kernel = _qary_windows if params.family is Family.QARY else _scan_rounds
         for lo in range(0, seeds.size, _SLICE):
             hi = lo + _SLICE
             kernel(params, seeds[lo:hi], checkpoints, states[:, lo:hi], bits[:, lo:hi])
@@ -100,70 +96,70 @@ def simulate(
     return states, bits, table[states]
 
 
-def _qary_updates(params, seeds, cps, states, bits) -> None:
-    rows = max(1, _DRAWS // max(1, seeds.size))
-    k = np.zeros(seeds.size, dtype=np.intp)  # intp indexes thresh fastest
-    frozen = np.zeros_like(k)  # updates spent at the ceiling, which read no bits
-    thresh = np.zeros(0)
-    m = ci = 0
-    while m < cps[-1]:
-        count = min(rows, cps[-1] - m)
-        thresh = _thresholds(params, thresh, int(k.max(initial=0)) + count)
-        for u in stream_uniforms53(seeds, UNIFORM_BITS * m, count):
-            if m >= DEFAULT_CEILING:
-                frozen += k == DEFAULT_CEILING
-            k += u < thresh[k]
-            m += 1
-            if m == cps[ci]:
-                states[ci], bits[ci] = k, (m - frozen) * UNIFORM_BITS
-                ci += 1
+def _qary_windows(params, seeds, cps, states, bits) -> None:
+    # a window that could reach the ceiling walks, which gives the update
+    # a column saturated at; from there it reads no bits
+    cols, rows = seeds.size, max(1, _DRAWS // seeds.size)
+    k = np.zeros(cols, dtype=np.intp)  # intp indexes thresh fastest
+    q = []
+    thresh = _thresholds(params, q, 2 * _WINDOW)  # room for the first windows
+    saturated = {}  # column: the update it reached the ceiling at
+    marks = []  # the states at each checkpoint passed
+    u, m, lo = (), 0, 0
+    while m < cps[-1] and lo < DEFAULT_CEILING:
+        if not len(u):
+            u = stream_uniforms53(seeds, UNIFORM_BITS * m, min(rows, cps[-1] - m))
+        # about _WINDOW candidates for the lowest column, whose q is the
+        # highest: at most cols * q[lo] candidates a row on average
+        size = len(u)
+        if q[lo] * size > _WINDOW:
+            size = int(_WINDOW / q[lo]) + 1
+        part, u = u[:size], u[size:]
+        if cols * q[lo] < _WALK or m + size >= DEFAULT_CEILING:
+            hits = (part < thresh[k]).ravel().nonzero()[0]
+            ks, cp = k.tolist(), (cps[len(marks)] - m) * cols
+            for h, draw in zip(hits.tolist(), part.ravel()[hits].tolist()):
+                while h >= cp:  # a checkpoint falls before this row
+                    marks.append(ks.copy())
+                    cp = (cps[len(marks)] - m) * cols
+                c = h % cols
+                s = ks[c]
+                if draw < q[s]:
+                    ks[c] = s = s + 1
+                    if s == len(q):
+                        thresh = _thresholds(params, q, s)
+                    if s == DEFAULT_CEILING:
+                        saturated[c] = m + h // cols + 1
+            k[:] = ks
+            while len(marks) < len(cps) and cps[len(marks)] <= m + size:
+                marks.append(ks.copy())
+            lo = min(ks)
+        else:
+            top = int(k.max()) + size
+            if top >= len(q):
+                thresh = _thresholds(params, q, top)
+            for j, row in enumerate(part, m + 1):
+                k += row < thresh[k]
+                if j == cps[len(marks)]:
+                    marks.append(k.copy())
+            lo = int(k.min())
+        m += size
+    # past the last mark every column saturated
+    states[:] = marks + [k] * (len(cps) - len(marks))
+    bits[:] = [[UNIFORM_BITS * c] for c in cps]
+    for c, end in saturated.items():
+        bits[:, c] = [UNIFORM_BITS * min(cp, end) for cp in cps]
 
 
-def _thresholds(params, table: np.ndarray, top: int) -> np.ndarray:
-    """`table` grown to the q_k of states 0 .. min(top, DEFAULT_CEILING).
-
-    The ceiling state's entry is 0, so a saturated counter never advances.
-    """
-    top = min(top, DEFAULT_CEILING)
-    if top < table.size:
-        return table
-    new = _transition_probs(params, table.size, top + 1)
-    if top == DEFAULT_CEILING:
-        new[-1] = 0.0
-    return np.concatenate([table, new])
-
-
-def _qary_trajectory(params, seeds, cps, states, bits) -> None:
-    # the candidates of a window, or all its draws where q is above 1/2;
-    # the updates a seed advanced at give its states and bits.  q is grown
-    # once for all seeds, with 0 at the ceiling, where a counter stays put
-    q = [transition_prob(params, 0)]
-    for i in range(seeds.size):
-        at = []
-        k = m = 0
-        while m < cps[-1] and k < DEFAULT_CEILING:
-            count = min(_DRAWS, cps[-1] - m)
-            u = stream_uniforms53(seeds[i : i + 1], UNIFORM_BITS * m, count)[:, 0]
-            for w in range(0, count, _WALK):
-                part, qk = u[w : w + _WALK], q[k]
-                if qk > 0.5:
-                    walk = enumerate(part.tolist(), m + w + 1)
-                else:
-                    cand = np.flatnonzero(part < qk)
-                    walk = zip((cand + (m + w + 1)).tolist(), part[cand].tolist())
-                for update, draw in walk:
-                    if draw < qk:
-                        at.append(update)
-                        k += 1
-                        if k == len(q):
-                            top = min(2 * k, DEFAULT_CEILING)
-                            q += _transition_probs(params, k, top).tolist() or [0.0]
-                        qk = q[k]
-            m += count
-        # a saturated counter keeps its state and bits from its last advance on
-        end = at[-1] if k == DEFAULT_CEILING else m
-        states[:, i] = [bisect.bisect_right(at, c) for c in cps]
-        bits[:, i] = [UNIFORM_BITS * min(c, end) for c in cps]
+def _thresholds(params, q: list, top: int) -> np.ndarray:
+    """The q_k list `q` grown past `top`, at least doubling, up to DEFAULT_CEILING,
+    whose entry is 0 so a saturated counter never advances; returned as an array."""
+    if top >= len(q):
+        top = min(max(top, 2 * len(q)), DEFAULT_CEILING)
+        q += _transition_probs(params, len(q), top + 1).tolist()
+        if top == DEFAULT_CEILING:
+            q[-1] = 0.0
+    return np.array(q)
 
 
 def _scan_rounds(params, seeds, cps, states, bits) -> None:

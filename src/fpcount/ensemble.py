@@ -4,8 +4,8 @@ A trajectory drives one counter with the bit stream for its seed and
 records state, estimate, and relative error at requested checkpoints.
 An ensemble runs many independent replicates -- replicate i uses the
 stream seeded ``child_seed(seed, first_replicate + i)``.  Both run
-through ``_engine.simulate``, a trajectory as one seed, and whichever
-kernels it picks for the replicate count are bit-identical to looping
+through ``_engine.simulate``, a trajectory as one seed, whose one kernel
+per family is bit-identical at every replicate count to looping
 :func:`fpcount.counters.increment` per replicate.  Reports keep the raw
 per-replicate estimates and bit counts, so merged reports agree exactly
 with a single pass over the union (including the 2-sigma outlier count,
@@ -51,7 +51,10 @@ def log_checkpoints(n_max: int) -> list[int]:
 def linear_checkpoints(n_max: int, count: int = 16) -> list[int]:
     """`count` (at most) evenly spaced checkpoints ending at n_max; both ints >= 1."""
     count = _integer(count, "checkpoint count", 1)
-    cps = [max(1, round(n_max * i / count)) for i in range(1, count)]
+    try:
+        cps = [max(1, round(n_max * i / count)) for i in range(1, count)]
+    except OverflowError:  # a point past the double range
+        raise ValueError(f"update count {n_max} is too large for linear checkpoints") from None
     return _update_counts([*cps, n_max], 1)
 
 

@@ -341,6 +341,12 @@ class TestFailurePaths:
                 lambda: run_trajectory(CounterParams.fp(4), 0, 1, []),
                 id="trajectory-n-0",
             ),
+            pytest.param(
+                ["trajectory", "--counter", "fp", "--d", "4", "--n", str(10**400),
+                 "--checkpoints", "linear"],
+                lambda: linear_checkpoints(10**400),
+                id="linear-checkpoints-past-doubles",
+            ),
         ],
     )
     def test_value_ranges_fail_with_the_library_message(self, argv, library_call):

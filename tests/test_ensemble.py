@@ -4,9 +4,10 @@ The central claim: the ensemble engine reproduces, replicate by
 replicate and bit for bit, what the scalar counter loop does with the
 stream for child_seed(seed, i) — states, estimates, and the exact
 number of consumed stream bits, for every family and at 1, 2, 3 and
-_VECTOR_MIN seeds: morris and fp in level batches at every count, and
-qary with its per-seed kernel and its vector one.  Everything else
-(stats, merging, checkpoint helpers) is checked against plain numpy.
+32 seeds: morris and fp in level batches, and qary in windows that walk
+their candidates or step their rows, at every seed count.  Everything
+else (stats, merging, checkpoint helpers) is checked against plain
+numpy.
 """
 
 import hashlib
@@ -31,7 +32,7 @@ from fpcount import (
     transition_prob,
     variance_fn,
 )
-from fpcount._engine import _DRAWS, _VECTOR_MIN, _WALK, _qary_trajectory, _thresholds, simulate
+from fpcount._engine import _DRAWS, _WALK, _WINDOW, _qary_windows, _thresholds, simulate
 from fpcount.chain import Family
 from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import SPAN_WORDS, BitSource, child_seed, stream_skip
@@ -65,6 +66,15 @@ class TestCheckpointHelpers:
         assert linear_checkpoints(2**60 + 1, 4)[-2:] == [3 * 2**58, 2**60 + 1]
         with pytest.raises(ValueError, match="update count 10.5 is not an integer"):
             linear_checkpoints(10.5)
+
+    def test_linear_checkpoints_past_the_double_range(self):
+        # a point n_max * i / count past the largest double is refused with
+        # a ValueError naming the update count, not an OverflowError
+        for n_max in (10**400, 2**1025, 2**1024 * 16 // 15):
+            with pytest.raises(ValueError, match=f"^update count {n_max} is too large"):
+                linear_checkpoints(n_max)
+        # up to there every point is a double, rounded as below it
+        assert linear_checkpoints(2**1024) == [2**1020 * i for i in range(1, 17)]
 
     def test_linear_checkpoints_names_its_count(self):
         # `count` bounds the number returned, so it is an integer >= 1, and
@@ -144,12 +154,11 @@ class TestEngineEquivalence:
         return out
 
     def _assert_matches_scalar(self, params, n_max, cps, seed=42):
-        # morris and fp run level batches at every seed count; qary runs
-        # its per-seed kernel below _VECTOR_MIN seeds and its vector one
-        # from there on
-        seeds = [child_seed(seed, i) for i in range(_VECTOR_MIN)]
+        # one kernel per family at every seed count; at 32 seeds the
+        # early qary windows step their rows and the later ones walk
+        seeds = [child_seed(seed, i) for i in range(32)]
         want = [self._scalar_points(params, n_max, cps, s) for s in seeds]
-        for reps in (1, 2, 3, _VECTOR_MIN):
+        for reps in (1, 2, 3, 32):
             states, bits, estimates = simulate(
                 params, n_max, np.array(seeds[:reps], dtype=np.uint64), cps
             )
@@ -177,33 +186,45 @@ class TestEngineEquivalence:
         n=st.integers(1, 5000),
         seed=st.integers(0, 2**64 - 1),
         draws=st.sampled_from([53, 1000, _DRAWS]),
-        walk=st.sampled_from([1, 7, _WALK]),
+        window=st.sampled_from([1, 7, _WINDOW]),
+        walk=st.sampled_from([0, _WALK, 2**64]),
         data=st.data(),
     )
-    def test_per_seed_qary_kernel_matches_scalar(self, r, n, seed, draws, walk, data):
-        # qary(2**20), and the first states of every qary, walk every draw;
-        # the rest walk only the draws below q, window by window.  Small
-        # chunks and windows put their edges among the advances
+    def test_qary_kernel_matches_scalar(self, r, n, seed, draws, window, walk, data):
+        # 1 to 40 seeds, fewer at large n.  A _WALK of 0 steps every
+        # window's rows, and 2**64 walks every window's candidates;
+        # qary(2**20), and the first states of every qary, have a candidate
+        # in most draws.  Small chunks and windows put their edges among
+        # the advances
         params = CounterParams.qary(r)
+        reps = data.draw(st.integers(1, max(1, min(40, 20000 // n))))
+        seeds = [child_seed(seed, i) for i in range(reps)]
         cps = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=8)) | {n})
-        states = np.zeros((len(cps), 1), dtype=np.uint64)
+        states = np.zeros((len(cps), reps), dtype=np.uint64)
         bits = np.zeros_like(states)
-        with mock.patch("fpcount._engine._DRAWS", draws), mock.patch("fpcount._engine._WALK", walk):
-            _qary_trajectory(params, np.array([seed], dtype=np.uint64), cps, states, bits)
-        want = self._scalar_points(params, n, cps, seed)
-        assert list(zip(states[:, 0].tolist(), bits[:, 0].tolist())) == want
+        with (
+            mock.patch("fpcount._engine._DRAWS", draws),
+            mock.patch("fpcount._engine._WINDOW", window),
+            mock.patch("fpcount._engine._WALK", walk),
+        ):
+            _qary_windows(params, np.array(seeds, dtype=np.uint64), cps, states, bits)
+        for i, s in enumerate(seeds):
+            want = self._scalar_points(params, n, cps, s)
+            assert list(zip(states[:, i].tolist(), bits[:, i].tolist())) == want
 
     @pytest.mark.parametrize("r", [1, 16, 2**20])
-    def test_vector_qary_table_is_the_scalar_probability(self, r):
+    def test_qary_table_is_the_scalar_probability(self, r):
         # grown in uneven steps past the ceiling, whose entry is 0 so that a
-        # saturated counter stays put
+        # saturated counter stays put; each growth at least doubles it
         params = CounterParams.qary(r)
-        table = np.zeros(0)
+        q = []
         for top in (0, 1, 2, 700, 700, 40000, DEFAULT_CEILING - 1, 2**20):
-            table = _thresholds(params, table, top)
-            assert table.size == min(top, DEFAULT_CEILING) + 1
+            size = len(q)
+            table = _thresholds(params, q, top)
+            grown = min(max(top, 2 * size), DEFAULT_CEILING) + 1 if top >= size else size
+            assert table.tolist() == q and len(q) == grown
         want = [transition_prob(params, k) for k in range(DEFAULT_CEILING)] + [0.0]
-        assert table.tolist() == want
+        assert q == want
 
     @pytest.mark.parametrize("params", ALL_FAMILIES, ids=str)
     def test_many_replicates_run_in_bounded_slices(self, params):

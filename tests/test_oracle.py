@@ -382,6 +382,34 @@ class TestSweepMoments:
             assert weights[0] > _FLOAT_FLOOR
 
 
+class TestClosedFormAnchors:
+    """morris and qary(r) have closed-form moments at every n.
+
+    With base q (2 for morris, 2**(1/r) for qary) the estimate is unbiased,
+    E f(X_n) = n, and Var f(X_n) = (q - 1) n (n - 1) / 2 (Morris, CACM 21,
+    1978; Flajolet, BIT 25, 1985).  Exact mode meets them as Fractions;
+    float mode meets them within 1e-12 relative up to n = 2**17, which
+    catches a floor above about 1e-14 but not one of 1e-30 or 1e-16: those
+    move the moments by less than 1e-16 relative.
+    """
+
+    def test_exact_morris_meets_the_anchor(self):
+        for rec in sweep_moments(MORRIS, [10, 100, 500], MODE_EXACT):
+            assert rec.mean == rec.n
+            assert rec.variance == Fraction(rec.n * (rec.n - 1), 2)
+
+    @pytest.mark.parametrize(
+        "params, q",
+        [pytest.param(MORRIS, 2.0, id="morris")]
+        + [pytest.param(CounterParams.qary(r), 2 ** (1 / r), id=f"qary{r}") for r in (1, 2, 3, 16)],
+    )
+    def test_float_sweep_meets_the_anchor(self, params, q):
+        for rec in sweep_moments(params, [2**10, 2**14, 2**17], MODE_FLOAT):
+            n = rec.n
+            assert abs(rec.mean / n - 1) <= 1e-12
+            assert abs(rec.variance / ((q - 1) * n * (n - 1) / 2) - 1) <= 1e-12
+
+
 class TestExpectedBits:
     def test_exact_pins(self):
         fp0 = CounterParams.fp(0)

@@ -23,15 +23,14 @@
   snapshot layout, is its reference.
 * ``CounterTable.from_bytes`` takes untrusted bytes and may fail only
   with ValueError.
-* ``_engine.simulate`` runs morris and fp counters in level batches,
-  from 1 seed up, and qary counters comparing bulk-read draws, one seed
-  at a time below ``_VECTOR_MIN`` replicates and side by side from there
-  on; runs are drawn at 1, 2 and 3 seeds and from ``_VECTOR_MIN`` on.
-  The ``counters.increment`` loop over each replicate's stream is the
-  reference of each kernel on its own, for states, consumed bits and
-  estimates.
+* ``_engine.simulate`` runs morris and fp counters in level batches and
+  qary counters in windows of bulk-read draws, each window walking its
+  candidates or stepping its rows; runs are drawn at 1 to 40 seeds, so
+  qary windows take both forms.  The ``counters.increment`` loop over
+  each replicate's stream is the reference of each kernel on its own,
+  for states, consumed bits and estimates.
 * Update counts go through one rule that sorts and deduplicates them:
-  ``run_trajectory``, ``run_ensemble`` (qary's per-seed and vector kernels),
+  ``run_trajectory``, ``run_ensemble`` (at 2 to 40 replicates),
   ``sweep_moments`` and the CLI's ``--checkpoints`` given a shuffled
   list with repeats equal the same call on the sorted distinct list.
 * The qary closed forms ``estimate`` and ``variance_fn`` round an
@@ -77,7 +76,7 @@ from fpcount import (
     transition_prob,
     variance_fn,
 )
-from fpcount._engine import _VECTOR_MIN, simulate
+from fpcount._engine import simulate
 from fpcount.chain import CounterRangeError, estimate_series, variance_series
 from fpcount.cli import main
 from fpcount.counters import DEFAULT_CEILING
@@ -467,9 +466,9 @@ def engine_runs(
     n = draw(st.one_of(st.integers(1, 300), st.integers(1, 3000)))
     cps = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=8)))
     seed = draw(st.integers(0, 2**64 - 1))
-    # 1 to 3 seeds, and from _VECTOR_MIN on, where qary runs its vector kernel
-    vector = st.integers(_VECTOR_MIN, _VECTOR_MIN + 2)
-    reps = draw(st.one_of(st.integers(1, 3), vector))
+    # qary windows walk their candidates below 8 seeds, and from 8 on
+    # the early ones step their rows
+    reps = draw(st.one_of(st.integers(1, 3), st.integers(8, 40)))
     seeds = [child_seed(seed, i) for i in range(reps)]
     return params, n, cps, seeds
 
@@ -485,7 +484,7 @@ CEILING_RUNS = [
         CounterParams.fp(15),
         100000,
         [DEFAULT_CEILING + 1, 98000, 100000],
-        [child_seed(8, i) for i in range(_VECTOR_MIN)],
+        [child_seed(8, i) for i in range(32)],
     ),
 ]
 
@@ -535,16 +534,15 @@ def shuffled_counts(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(run=shuffled_counts(), seed=st.integers(0, 2**64 - 1))
-def test_update_counts_are_sorted_and_deduplicated(run, seed):
+@given(run=shuffled_counts(), seed=st.integers(0, 2**64 - 1), reps=st.integers(2, 40))
+def test_update_counts_are_sorted_and_deduplicated(run, seed, reps):
     params, n, cps = run
     ordered = sorted(set(cps))
     assert run_trajectory(params, n, seed, cps) == run_trajectory(params, n, seed, ordered)
-    for reps in (2, _VECTOR_MIN):  # qary's per-seed kernel, then its vector one
-        a, b = (run_ensemble(params, n, reps, seed, c) for c in (cps, ordered))
-        assert a.checkpoints == b.checkpoints == tuple(ordered)
-        for field in ("states", "estimates", "bits"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+    a, b = (run_ensemble(params, n, reps, seed, c) for c in (cps, ordered))
+    assert a.checkpoints == b.checkpoints == tuple(ordered)
+    for field in ("states", "estimates", "bits"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
     assert sweep_moments(params, cps) == sweep_moments(params, ordered)
     flags = {"fp": ["--d", "3"], "qary": ["--r", "4"]}.get(params.family.value, [])
     argv = ["trajectory", "--counter", params.family.value, *flags, "--n", str(n)]
