@@ -214,11 +214,11 @@ def estimate(params: CounterParams, k: int) -> int | float:
     """Unbiased count estimate f(k) for a chain observed in state k.
 
     Exact int for morris/fp: with k = M*t + u, f(k) = (M + u)*2**t - M.
-    Float for qary: f(k) = (q**k - 1)/(q - 1), computed via expm1; the
-    rounded exponent k*ln2/r puts the relative error of order k/r ulps.
+    Float for qary: f(k) = (q**k - 1)/(q - 1), which :func:`estimate_float`
+    computes via expm1; the rounded exponent k*ln2/r puts the relative
+    error of order k/r ulps.
     """
-    # one family test, and the input rule only for numpy ints and bad states;
-    # the qary value is estimate_float's, which the float reads call directly
+    # one family test, and the input rule only for numpy ints and bad states
     if k.__class__ is not int or k < 0:
         k = _integer(k, "state", 0)
     d = params._shift
@@ -351,11 +351,12 @@ def accuracy_limits(params: CounterParams) -> AccuracyBounds:
 
 
 def estimate_float(params: CounterParams, k: int) -> float:
-    """:func:`estimate` coerced to float.
+    """:func:`estimate` as a double, which it returns for qary.
 
-    Raises CounterRangeError when the value exceeds the double range
-    (possible for saturated wide-exponent states).  For qary,
-    :func:`estimate` returns this value.
+    The qary closed form lives here; morris/fp take estimate's int, whose
+    (M + u)*2**t - M is at least 2**t - 1, so t > 1024 is refused before
+    it is built.  CounterRangeError marks a value past the double range
+    (possible for saturated wide-exponent states).
 
     A run reads few distinct states many times, so each `params` keeps
     the values it has computed for states below 2**16, which covers every
@@ -366,40 +367,24 @@ def estimate_float(params: CounterParams, k: int) -> float:
     """
     if k.__class__ is not int or k < 0:
         k = _integer(k, "state", 0)
-    if k >= _READ_STATES:
-        return _estimate_float(params, k)
     try:
         return params._reads[k]
     except KeyError:
         pass
-    # racing threads store the same value, and the bound is on k, not on
-    # the size, so a read needs no lock
-    f = params._reads[k] = _estimate_float(params, k)
-    return f
-
-
-def _estimate_float(params: CounterParams, k: int) -> float:
-    """f(k) as a double for a Python int k >= 0, computed afresh.
-
-    The qary closed form lives here.  With k = M*t + u the closed form
-    (M + u)*2**t - M is at least 2**t - 1 for t >= 1, so t > 1024 is
-    refused before the astronomically large integer is built.
-    """
-    d = params._shift
-    if d is None:
-        r = params.r
-        try:
-            f = math.expm1(k * _LN2 / r) / math.expm1(_LN2 / r)
-        except OverflowError:
-            f = math.inf
-        if math.isfinite(f):
-            return f
-        raise _qary_range_error("estimate", params, k)
-    t = k >> d
-    if t > 1024:
-        raise CounterRangeError(f"estimate at state {k} exceeds the float range")
-    m = 1 << d
+    d, f = params._shift, math.inf
     try:
-        return float(((m + (k & (m - 1))) << t) - m)
+        if d is None:
+            f = math.expm1(k * _LN2 / params.r) / math.expm1(_LN2 / params.r)
+        elif k >> d <= 1024:  # a larger t is refused before the int is built
+            f = float(estimate(params, k))
     except OverflowError:
-        raise CounterRangeError(f"estimate at state {k} exceeds the float range") from None
+        pass
+    if not math.isfinite(f):
+        if d is None:
+            raise _qary_range_error("estimate", params, k)
+        raise CounterRangeError(f"estimate at state {k} exceeds the float range")
+    if k < _READ_STATES:
+        # racing threads store the same value, and the bound is on k, not on
+        # the size, so a read needs no lock
+        params._reads[k] = f
+    return f

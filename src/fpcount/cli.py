@@ -43,20 +43,16 @@ __all__ = ["build_parser", "execute", "main", "parse_args"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the six commands.
-
-    It checks syntax only; the library owns every value range, so each
-    range has one error message: ``--n`` from 0 for oracle and bits, and
-    from 1 for the other commands.
-    """
+    """A fresh parser for the six commands; each sets ``rows``, its row builder."""
     parser = argparse.ArgumentParser(
         prog="fpcount",
         description="Probabilistic counter simulations and exact distribution math.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, seed: bool = True, **options) -> None:
+    def command(name: str, summary: str, rows, seed: bool = True, **options) -> None:
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(rows=rows)
         p.add_argument(
             "--counter",
             required=True,
@@ -79,21 +75,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode = dict(choices=[MODE_EXACT, MODE_FLOAT], default=MODE_FLOAT)
 
-    command("trajectory", "simulate one counter", n=n, checkpoints=checkpoints)
+    command(
+        "trajectory",
+        "simulate one counter",
+        _rows_trajectory,
+        n=n,
+        checkpoints=checkpoints,
+    )
     command(
         "ensemble",
         "simulate replicate ensembles",
+        _rows_ensemble,
         n=n,
         replicates=dict(type=int, required=True, help="number of replicates"),
         checkpoints=checkpoints,
     )
     command(
-        "oracle", "distribution moments at one update count", seed=False, n=n, mode=mode
+        "oracle",
+        "distribution moments at one update count",
+        _rows_oracle,
+        seed=False,
+        n=n,
+        mode=mode,
     )
-    command("bounds", "asymptotic accuracy window", seed=False)
+    command("bounds", "asymptotic accuracy window", _rows_bounds, seed=False)
     command(
         "bits",
         "expected random-bit cost of the next update",
+        _rows_bits,
         seed=False,
         n={**n, "help": "updates so far"},
         mode=mode,
@@ -101,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "table-demo",
         "fill a packed counter table",
+        _rows_table_demo,
         slots=dict(type=int, default=8, help="number of slots"),
         width=dict(type=int, default=8, help="bits per slot"),
         n=dict(type=int, default=1000, help="updates per slot (default 1000)"),
@@ -252,16 +262,6 @@ def _rows_table_demo(args: argparse.Namespace) -> list[dict]:
     return rows
 
 
-_DISPATCH = {
-    "trajectory": _rows_trajectory,
-    "ensemble": _rows_ensemble,
-    "oracle": _rows_oracle,
-    "bounds": _rows_bounds,
-    "bits": _rows_bits,
-    "table-demo": _rows_table_demo,
-}
-
-
 def _emit(rows: list[dict], output: str) -> None:
     if output == "json":
         print(json.dumps(rows, indent=2))
@@ -276,7 +276,7 @@ def _emit(rows: list[dict], output: str) -> None:
 
 def execute(args: argparse.Namespace) -> int:
     try:
-        rows = _DISPATCH[args.command](args)
+        rows = args.rows(args)
     except OverflowError as exc:
         print(f"fpcount: numeric range failure: {exc}", file=sys.stderr)
         return 3

@@ -50,6 +50,7 @@ def log_checkpoints(n_max: int) -> list[int]:
 
 def linear_checkpoints(n_max: int, count: int = 16) -> list[int]:
     """`count` (at most) evenly spaced checkpoints ending at n_max; both ints >= 1."""
+    n_max = _integer(n_max, "update count", 1)
     count = _integer(count, "checkpoint count", 1)
     try:
         cps = [max(1, round(n_max * i / count)) for i in range(1, count)]

@@ -115,20 +115,6 @@ class MomentRecord:
 # -- the window sweep ----------------------------------------------------------
 
 
-def _windows(
-    params: CounterParams, checkpoints: Sequence[int], exact: bool
-) -> Iterator[tuple[int, int, np.ndarray, int | float]]:
-    """Yield (n, lo, weights, scale) at each n of the sorted `checkpoints`.
-
-    p[n][lo + j] = weights[j] / scale, dead states trimmed.  Weights are
-    Python ints (object array) over 2**e, or doubles over 1.0, and the
-    float walk holds every dead state at 0.0.  The walker yields only at
-    checkpoints, and a yielded ``weights`` is a view of its array p that
-    the next step overwrites.
-    """
-    return (_exact_windows if exact else _float_windows)(params, checkpoints)
-
-
 def _exact_windows(params: CounterParams, checkpoints: Sequence[int]) -> Iterator[tuple]:
     """The exact walk: integer numerators over one scale 2**e.
 
@@ -203,7 +189,11 @@ def _float_windows(params: CounterParams, checkpoints: Sequence[int]) -> Iterato
 def _sweep(params: CounterParams, checkpoints, mode: str) -> Iterator[tuple]:
     """Validate, then yield (n, lo, weights, scale) at each distinct checkpoint.
 
-    p[n][lo + j] = weights[j] / scale, in increasing n.
+    p[n][lo + j] = weights[j] / scale, in increasing n, dead states trimmed.
+    The exact walk yields Python ints (object array) over 2**e, the float
+    walk doubles over 1.0 and holds every dead state at 0.0.  A walk yields
+    only at checkpoints, and a yielded ``weights`` is a view of its array p
+    that the next step overwrites.
     """
     cps = _update_counts(checkpoints, 0)
     if mode not in (MODE_EXACT, MODE_FLOAT):
@@ -212,7 +202,7 @@ def _sweep(params: CounterParams, checkpoints, mode: str) -> Iterator[tuple]:
         raise ValueError(
             "exact mode needs dyadic transition probabilities (morris/fp only)"
         )
-    yield from _windows(params, cps, mode == MODE_EXACT)
+    yield from (_exact_windows if mode == MODE_EXACT else _float_windows)(params, cps)
 
 
 # -- one weighted sum, one moment rule -----------------------------------------

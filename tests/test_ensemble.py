@@ -64,8 +64,13 @@ class TestCheckpointHelpers:
         assert linear_checkpoints(33, count=3) == [11, 22, 33]
         # past 2**53 the float i/count points round, but the last is n_max
         assert linear_checkpoints(2**60 + 1, 4)[-2:] == [3 * 2**58, 2**60 + 1]
-        with pytest.raises(ValueError, match="update count 10.5 is not an integer"):
-            linear_checkpoints(10.5)
+        # n_max is read by the input rule before any arithmetic, so a numpy
+        # int gives Python's points instead of wrapping in int64
+        assert linear_checkpoints(np.int64(2**62), 4) == [2**60, 2**61, 3 * 2**60, 2**62]
+        assert linear_checkpoints(np.uint64(2**63), 4) == [2**61, 2**62, 3 * 2**61, 2**63]
+        for n_max in (10.5, "5", None):
+            with pytest.raises(ValueError, match=f"^update count {n_max!r} is not an integer"):
+                linear_checkpoints(n_max)
 
     def test_linear_checkpoints_past_the_double_range(self):
         # a point n_max * i / count past the largest double is refused with

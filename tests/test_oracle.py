@@ -34,7 +34,7 @@ from fpcount import (
     transition_prob,
     variance_fn,
 )
-from fpcount.oracle import _FLOAT_FLOOR, _dist_moments, _windows
+from fpcount.oracle import _FLOAT_FLOOR, _dist_moments, _exact_windows, _float_windows
 
 MORRIS = CounterParams.morris()
 FP1 = CounterParams.fp(1)
@@ -98,12 +98,13 @@ def reference_windows(params, n_max, exact):
 
 
 def assert_windows_pinned(params, checkpoints, exact):
-    """_windows at sorted `checkpoints` (repeats allowed) == the reference."""
+    """The walk at sorted `checkpoints` (repeats allowed) == the reference."""
     cps = sorted(checkpoints)
+    walk = _exact_windows if exact else _float_windows
     ref = reference_windows(params, cps[-1], exact)
     n_ref, lo_ref, w_ref, scale_ref = next(ref)
     yields = 0
-    for c, (n, lo, weights, scale) in zip(cps, _windows(params, cps, exact)):
+    for c, (n, lo, weights, scale) in zip(cps, walk(params, cps)):
         while n_ref < c:
             n_ref, lo_ref, w_ref, scale_ref = next(ref)
         assert (n, lo, type(scale), scale) == (c, lo_ref, type(scale_ref), scale_ref)
@@ -187,7 +188,7 @@ def test_exact_walker_allocates_nothing_sized_by_n():
     # the first window comes before any step, so no per-state table is due
     tracemalloc.start()
     try:
-        walk = _windows(FP4, [0, 10**6], exact=True)
+        walk = _exact_windows(FP4, [0, 10**6])
         next(walk)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -200,7 +201,7 @@ def test_float_walker_allocates_nothing_sized_by_n():
     # the q table and views follow the window, never the last checkpoint
     tracemalloc.start()
     try:
-        walk = _windows(FP4, [0, 5000, 10**6], exact=False)
+        walk = _float_windows(FP4, [0, 5000, 10**6])
         assert [next(walk)[0], next(walk)[0]] == [0, 5000]
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -378,7 +379,7 @@ class TestSweepMoments:
     def test_float_windows_shed_their_lower_tail(self):
         # a subnormal bottom weight times q = 2**-t can round to 0 and stay
         # put forever; the floor drops it (fp(8) kept 878 at n = 20000)
-        for _, _, weights, _ in _windows(CounterParams.fp(8), list(range(20001)), exact=False):
+        for _, _, weights, _ in _float_windows(CounterParams.fp(8), list(range(20001))):
             assert weights[0] > _FLOAT_FLOOR
 
 

@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from fpcount.randbits import (
+    MAX_SCAN,
     BitSource,
+    BitStream,
     ScriptedBitSource,
     child_seed,
     mix64,
     stream_block,
+    stream_skip,
 )
 
 # splitmix64 reference outputs for state 0 (widely published test vector)
@@ -171,6 +174,24 @@ class TestBernoulliPow2:
             assert src_real.bernoulli_pow2(t) == src_script.bernoulli_pow2(t)
             assert src_real.stream_position == src_script.stream_position
         assert prefix[0] == (stream_block(seed, 0) >> 63) & 1
+
+
+class TestStreamSkip:
+    def test_refuses_a_scan_past_the_64_bit_window(self):
+        # one scan longer than MAX_SCAN is refused before any block is read
+        seeds = np.array([1, 2], dtype=np.uint64)
+        t = np.array([1, MAX_SCAN + 1], dtype=np.uint64)
+        zeros, ones = np.zeros(2, dtype=np.uint64), np.ones(2, dtype=np.uint64)
+        with pytest.raises(OverflowError, match="^scan length beyond the 64-bit window$"):
+            stream_skip(seeds, zeros, t, ones, ones[None, :], 2)
+
+
+class TestBitStreamBase:
+    def test_next_bit_is_left_to_subclasses(self):
+        with pytest.raises(NotImplementedError):
+            BitStream().next_bit()
+        with pytest.raises(NotImplementedError):
+            BitStream().take_bits(1)  # the samplers draw through next_bit
 
 
 class TestChildSeed:
