@@ -224,6 +224,11 @@ def estimate(params: CounterParams, k: int) -> int | float:
     d = params._shift
     if d is None:
         return estimate_float(params, k)
+    return _fp_estimate(d, k)
+
+
+def _fp_estimate(d: int, k: int) -> int:
+    """f(k) = (M + u)*2**t - M for k = M*t + u and M = 2**d, at a state read already."""
     m = 1 << d
     return ((m + (k & (m - 1))) << (k >> d)) - m
 
@@ -361,22 +366,23 @@ def estimate_float(params: CounterParams, k: int) -> float:
     A run reads few distinct states many times, so each `params` keeps
     the values it has computed for states below 2**16, which covers every
     state the engine's ceiling or a table of width 16 or less can hold;
-    a later read of such a state is one lookup.  Higher states are
-    computed on every read, and errors are never stored: a refused state
-    raises on every call.  Copies and pickles start with nothing stored.
+    a later read of such a state is one lookup.  Higher states skip the
+    store, and errors are never stored: a refused state raises on every
+    call.  Copies and pickles start with nothing stored.
     """
+    if k.__class__ is int and k < _READ_STATES:  # a negative k misses, then is refused
+        try:
+            return params._reads[k]
+        except KeyError:
+            pass
     if k.__class__ is not int or k < 0:
-        k = _integer(k, "state", 0)
-    try:
-        return params._reads[k]
-    except KeyError:
-        pass
+        return estimate_float(params, _integer(k, "state", 0))
     d, f = params._shift, math.inf
     try:
         if d is None:
             f = math.expm1(k * _LN2 / params.r) / math.expm1(_LN2 / params.r)
         elif k >> d <= 1024:  # a larger t is refused before the int is built
-            f = float(estimate(params, k))
+            f = float(_fp_estimate(d, k))
     except OverflowError:
         pass
     if not math.isfinite(f):

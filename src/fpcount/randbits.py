@@ -11,12 +11,11 @@ This module alone computes blocks, and alone decides how many bits a
 scan or a uniform draw consumes, in every form.  Blocks are computed
 from (seed, j) directly, so a reader's state is its position.
 
-* :class:`BitSource` reads one seed's stream in order, one block at a
-  time: ``take_bits`` and the ``bernoulli_pow2`` scan each take a run of
-  the block with one shift and mask instead of one ``next_bit`` call per
-  bit, and a nonzero scan run is consumed through its first 1, so each
-  consumes exactly the bits the bit-by-bit loops of :class:`BitStream`
-  would.
+* :class:`BitSource` reads one seed's stream in order and keeps its
+  unread bits as one int: ``take_bits`` cuts a run off its top, and a
+  ``bernoulli_pow2`` scan is one ``bit_length``, which places the first
+  1, so each consumes exactly the bits the bit-by-bit loops of
+  :class:`BitStream` would.
 * :func:`stream_uniforms53` reads runs of uniform draws for many seeds
   from one position, mixing each block once.
 * :func:`stream_skip` runs ``bernoulli_pow2`` scans for many seeds, each
@@ -429,60 +428,54 @@ class BitStream:
 class BitSource(BitStream):
     """Deterministic bit stream over the canonical splitmix64 blocks.
 
-    The unread bits of the current block are the low
-    ``_end - stream_position`` bits of ``_block``, and ``_end`` is the
-    block boundary after it.  ``take_bits`` and ``bernoulli_pow2`` load
-    block ``stream_position >> 6`` when none of it is left.
+    The unread bits are one int ``_rest`` below ``2**_avail``, first bit
+    highest, and ``_next`` indexes the next block to load.  A scan is one
+    ``bit_length``, which places the first 1; blocks are loaded only when
+    every unread bit is 0.
     """
 
-    __slots__ = ("seed", "stream_position", "_block", "_end")
+    __slots__ = ("seed", "_rest", "_avail", "_next")
 
     def __init__(self, seed: int):
         if seed.__class__ is not int:
             seed = _integer(seed, "seed", -math.inf)
         self.seed = seed & _MASK64
-        self.stream_position = 0
-        self._block = 0  # stream bits up to _end, first bit highest
-        self._end = 0
+        self._rest = self._avail = self._next = 0
+
+    @property
+    def stream_position(self) -> int:
+        return (self._next << 6) - self._avail
 
     def next_bit(self) -> int:
         return self.take_bits(1)
 
     def take_bits(self, count: int) -> int:
-        out = 0
-        pos = self.stream_position
-        block, end = self._block, self._end
-        while count:
-            avail = end - pos
-            if not avail:
-                self._block = block = stream_block(self.seed, pos >> 6)
-                self._end = end = pos + 64
-                avail = 64
-            grab = count if count < avail else avail
-            out = (out << grab) | ((block >> (avail - grab)) & ((1 << grab) - 1))
-            pos += grab
-            count -= grab
-        self.stream_position = pos
-        return out
+        if count < 0:
+            raise ValueError(f"bit count {count} is negative")
+        rest, avail = self._rest, self._avail - count
+        while avail < 0:
+            rest = (rest << 64) | stream_block(self.seed, self._next)
+            self._next += 1
+            avail += 64
+        self._rest, self._avail = rest & ((1 << avail) - 1), avail
+        return rest >> avail
 
     def bernoulli_pow2(self, t: int) -> bool:
-        pos = self.stream_position
-        block, end = self._block, self._end
-        while t:
-            avail = end - pos
-            if not avail:
-                self._block = block = stream_block(self.seed, pos >> 6)
-                self._end = end = pos + 64
-                avail = 64
-            grab = t if t < avail else avail
-            chunk = (block >> (avail - grab)) & ((1 << grab) - 1)
-            pos += grab
-            if chunk:
-                # the first 1 sits chunk.bit_length() bits from the run's end
-                self.stream_position = pos - chunk.bit_length() + 1
+        if t < 0:
+            raise ValueError(f"scan length {t} is negative")
+        rest, avail = self._rest, self._avail
+        n = rest.bit_length()
+        while avail - n < t:
+            if n:
+                # the scan ends at the first 1, which goes with it
+                self._rest, self._avail = rest ^ (1 << (n - 1)), n - 1
                 return False
-            t -= grab
-        self.stream_position = pos
+            # every unread bit is 0 and the scan runs past them
+            t -= avail
+            self._rest = rest = stream_block(self.seed, self._next)
+            self._next += 1
+            avail, n = 64, rest.bit_length()
+        self._avail = avail - t
         return True
 
 

@@ -124,34 +124,35 @@ class CounterTable:
 
         Saturated slots are left unchanged (no bits consumed, no error).
         """
-        # one pass over the slot: the bytes are read once and, on an
-        # advance, written back once with 1 added at the slot's offset
-        # (no carry leaves the slot, since k < 2**width - 1)
         if index.__class__ is not int:
             index = _integer(index, "slot index", -math.inf)
         if not 0 <= index < self.num_slots:
             raise self._out_of_range(index)
         data = self._data
-        top = self._max_value
-        byte_slots = self._byte_slots
-        if byte_slots:
+        if self._byte_slots:
             k = data[index]
-        else:
-            bitpos = index * self.width
-            start = bitpos >> 3
-            end = (bitpos + self.width + 7) >> 3
-            shift = bitpos & 7
-            word = int.from_bytes(data[start:end], "little")
-            k = (word >> shift) & top
+            if k == 255:
+                return k
+            t = k >> self.d
+            if t and not src.bernoulli_pow2(t):
+                return k
+            data[index] = k = k + 1
+            if k == 255:
+                self.saturation_count += 1
+            return k
+        # one pass over the slot: the bytes are read once and, on an
+        # advance, written back once with 1 added at the slot's offset
+        # (no carry leaves the slot, since k < 2**width - 1)
+        top, bitpos = self._max_value, index * self.width
+        start, end, shift = bitpos >> 3, (bitpos + self.width + 7) >> 3, bitpos & 7
+        word = int.from_bytes(data[start:end], "little")
+        k = (word >> shift) & top
         if k == top:
             return k
         t = k >> self.d
         if t and not src.bernoulli_pow2(t):
             return k
-        if byte_slots:
-            data[index] = k + 1
-        else:
-            data[start:end] = (word + (1 << shift)).to_bytes(end - start, "little")
+        data[start:end] = (word + (1 << shift)).to_bytes(end - start, "little")
         k += 1
         if k == top:
             self.saturation_count += 1

@@ -9,6 +9,7 @@ with probability exactly 2**-t; child seeds are a fixed function of
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ class TestBitSource:
         src.next_bit()
         src.take_bits(70)
         assert src.stream_position == 74
+
+    def test_negative_counts_are_refused(self):
+        src = BitSource(11)
+        src.take_bits(3)
+        with pytest.raises(ValueError, match="^bit count -1 is negative$"):
+            src.take_bits(-1)
+        with pytest.raises(ValueError, match="^scan length -2 is negative$"):
+            src.bernoulli_pow2(-2)
+        assert src.stream_position == 3
 
     def test_uniform53_consumes_53_bits(self):
         src = BitSource(2)
@@ -174,6 +184,25 @@ class TestBernoulliPow2:
             assert src_real.bernoulli_pow2(t) == src_script.bernoulli_pow2(t)
             assert src_real.stream_position == src_script.stream_position
         assert prefix[0] == (stream_block(seed, 0) >> 63) & 1
+
+    def test_a_long_scan_is_a_loop(self):
+        # 10**5 zero bits span 1563 blocks, far past the recursion limit, so
+        # a scan that recursed into each new block would fail here
+        src = BitSource(0)
+        with mock.patch("fpcount.randbits.stream_block", lambda seed, index: 0):
+            assert src.bernoulli_pow2(10**5) is True
+        assert src.stream_position == 10**5
+        # the rest of block 1562 is 0, and block 1563 holds one 1, at its bit
+        # 63 - 10 = 53: a scan of 200 bits fails there, and takes it
+        one = 1563 * 64 + 53
+        with mock.patch(
+            "fpcount.randbits.stream_block",
+            lambda seed, index: 1 << 10 if index == 1563 else 0,
+        ):
+            assert src.bernoulli_pow2(200) is False
+            assert src.stream_position == one + 1
+            assert src.bernoulli_pow2(200) is True
+        assert src.stream_position == one + 201
 
 
 class TestStreamSkip:

@@ -7,7 +7,14 @@ import struct
 import numpy as np
 import pytest
 
-from fpcount import CounterParams, CounterTable, SlotEstimate, estimate_float
+from fpcount import (
+    CounterParams,
+    CounterTable,
+    SlotEstimate,
+    estimate_float,
+    increment,
+    new_counter,
+)
 from fpcount.chain import CounterRangeError
 from fpcount.randbits import BitSource, ScriptedBitSource
 from fpcount.table import _byte_reads, _slot_estimate
@@ -144,6 +151,29 @@ def test_increment_deterministic_prefix():
     assert table.get_state(0) == 16
     assert table.get_state(1) == 0
     assert src.stream_position == 0
+
+
+@pytest.mark.parametrize(
+    "d, width",
+    [(d, w) for d in (2, 7) for w in sorted({*WIDTHS, d + 1}) if w > d],
+)
+def test_every_width_follows_the_scalar_counter(d, width):
+    # one index stream drives a table and a list of scalar counters, each on
+    # its own source of one seed; width d + 1 saturates a slot within a few
+    # dozen events, and width 8 takes the table's byte path
+    params, top, slots = CounterParams.fp(d), (1 << width) - 1, 5
+    table, states = CounterTable(slots, d, width), [new_counter()] * slots
+    a, b = BitSource(width), BitSource(width)
+    rng = random.Random(width * 10 + d)
+    for _ in range(4000):
+        i = rng.randrange(slots)
+        states[i] = increment(states[i], params, b, top)
+        assert table.increment(i, a) == states[i].k
+    assert [table.get_state(i) for i in range(slots)] == [s.k for s in states]
+    assert table.saturation_count == sum(s.saturated for s in states)
+    assert a.stream_position == b.stream_position
+    if width == d + 1:
+        assert table.saturation_count == slots
 
 
 def test_increment_matches_bernoulli_semantics(with_slot):
