@@ -165,7 +165,9 @@ def _thresholds(params, q: list, top: int) -> np.ndarray:
 def _scan_rounds(params, seeds, cps, states, bits) -> None:
     # the t = 0 prefix, which reads no bits, for every replicate: the state
     # and update count scans start from, and the first checkpoint to scan
-    start = min(1 << params._shift, DEFAULT_CEILING, cps[-1])
+    start = min(DEFAULT_CEILING, cps[-1])
+    if start >> params._shift:  # 2**d is built only when it is at most start
+        start = 1 << params._shift
     ci = bisect.bisect_right(cps, start)
     states[:ci] = np.array(cps[:ci], dtype=np.uint64)[:, None]
     if start >= DEFAULT_CEILING:

@@ -229,8 +229,11 @@ def estimate(params: CounterParams, k: int) -> int | float:
 
 def _fp_estimate(d: int, k: int) -> int:
     """f(k) = (M + u)*2**t - M for k = M*t + u and M = 2**d, at a state read already."""
+    t = k >> d
+    if not t:  # f(k) = k, and M, which may be far larger than k, is not built
+        return k
     m = 1 << d
-    return ((m + (k & (m - 1))) << (k >> d)) - m
+    return ((m + (k & (m - 1))) << t) - m
 
 
 def variance_fn(params: CounterParams, k: int) -> int | float:
@@ -253,8 +256,11 @@ def variance_fn(params: CounterParams, k: int) -> int | float:
         if math.isfinite(g):
             return g
         raise _qary_range_error("variance_fn", params, k)
+    t = k >> d
+    if not t:  # g(k) = 0, and M is not built
+        return 0
     m = 1 << d
-    t, u = k >> d, k & (m - 1)
+    u = k & (m - 1)
     numerator = ((m + 3 * u) << (2 * t)) - ((3 * (m + u)) << t) + 2 * m
     return numerator // 3
 

@@ -75,11 +75,12 @@ def increment(
 
 
 def decompose(state: CounterState, params: CounterParams) -> tuple[int, int]:
-    """Split an fp state into (exponent, significand) by shift/mask."""
+    """Split an fp state into (exponent, significand) by shift and subtract."""
     if params.family is not Family.FP:
         raise ValueError("decompose applies to fp counters only")
     k = _integer(state.k, "state", 0)
-    return k >> params.d, k & (params.modulus - 1)
+    t = k >> params.d
+    return t, k - (t << params.d)
 
 
 def storage_bits(state: CounterState) -> int:

@@ -118,23 +118,17 @@ class EnsembleReport:
         return int(self.estimates.shape[1])
 
     def checkpoint_stats(self) -> list[CheckpointStats]:
-        out = []
-        for i, n in enumerate(self.checkpoints):
-            e = self.estimates[i]
-            mean = float(e.mean())
-            std = float(e.std(ddof=1))
-            outliers = int(np.count_nonzero(np.abs(e - mean) > 2.0 * std))
-            out.append(
-                CheckpointStats(
-                    n=n,
-                    replicates=e.size,
-                    mean=mean,
-                    sample_std=std,
-                    outliers_2sigma=outliers,
-                    mean_bits=float(self.bits[i].mean()),
-                )
-            )
-        return out
+        e = self.estimates
+        mean, std = e.mean(axis=1), e.std(axis=1, ddof=1)
+        far = np.abs(e - mean[:, None]) > 2.0 * std[:, None]
+        rows = zip(
+            self.checkpoints,
+            mean.tolist(),
+            std.tolist(),
+            np.count_nonzero(far, axis=1).tolist(),
+            self.bits.mean(axis=1).tolist(),
+        )
+        return [CheckpointStats(n, e.shape[1], *row) for n, *row in rows]
 
 
 def run_ensemble(

@@ -403,6 +403,8 @@ class BitStream:
 
     def take_bits(self, count: int) -> int:
         """Consume `count` bits and pack them into an int, first bit highest."""
+        if count < 0:
+            raise ValueError(f"bit count {count} is negative")
         out = 0
         for _ in range(count):
             out = (out << 1) | self.next_bit()
@@ -419,6 +421,8 @@ class BitStream:
         t bits are 0.  Consumes no bits when t = 0 (certain success),
         otherwise between 1 and t bits.
         """
+        if t < 0:
+            raise ValueError(f"scan length {t} is negative")
         for _ in range(t):
             if self.next_bit():
                 return False

@@ -8,7 +8,7 @@ position b & 7.  Slots freely straddle byte boundaries; width 8 with a
 byte per counter.  A width-8 table holds slot i in byte i and indexes
 it directly, with the same snapshot bytes as the general layout, and
 reads a slot as one index into the 256 estimates of its d, computed
-once per process and shared by every width-8 table of that d.
+once per process; other widths read through their params' store.
 
 A slot whose value reaches 2**width - 1 is saturated: it is counted
 once in ``saturation_count``, further increments leave it unchanged,
@@ -54,16 +54,11 @@ class SlotEstimate(NamedTuple):
     lower_bound: bool  # True when the slot is saturated
 
 
-@functools.lru_cache(maxsize=4096)
-def _slot_estimate(d: int, width: int, k: int) -> SlotEstimate:
-    # shared by every table, so reloading a snapshot keeps the cache warm
-    return SlotEstimate(estimate_float(CounterParams.fp(d), k), k == (1 << width) - 1)
-
-
 @functools.cache
 def _byte_reads(d: int) -> tuple[SlotEstimate, ...]:
     # every read of a width-8 slot, indexed by the slot's byte
-    return tuple(_slot_estimate(d, 8, k) for k in range(256))
+    params = CounterParams.fp(d)
+    return tuple(SlotEstimate(estimate_float(params, k), k == 255) for k in range(256))
 
 
 def _saturated(payload: bytes, num_slots: int, width: int) -> int:
@@ -111,8 +106,6 @@ class CounterTable:
             index = _integer(index, "slot index", -math.inf)
         if not 0 <= index < self.num_slots:
             raise self._out_of_range(index)
-        if self._byte_slots:
-            return self._data[index]
         bitpos = index * self.width
         start = bitpos >> 3
         end = (bitpos + self.width + 7) >> 3
@@ -162,7 +155,8 @@ class CounterTable:
         """Unbiased count estimate for the slot; a lower bound once saturated."""
         reads = self._reads
         if reads is None:
-            return _slot_estimate(self.d, self.width, self.get_state(index))
+            k = self.get_state(index)
+            return SlotEstimate(estimate_float(self.params, k), k == self._max_value)
         # an int index pays for no test: only what indexing refuses goes to the rule
         try:
             if 0 <= index < self.num_slots:

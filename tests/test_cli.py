@@ -242,6 +242,27 @@ class TestCommands:
         if argv.startswith("oracle"):
             assert (rows[0]["mean"], rows[0]["variance"]) == ("3.0", "0.0")
 
+    @pytest.mark.parametrize(
+        "command, column",
+        [
+            ("trajectory", "k"),
+            ("ensemble --replicates 3", "mean"),
+            ("oracle", "mean"),
+            ("bits", None),
+        ],
+    )
+    def test_prefix_runs_at_a_huge_d(self, command, column, capsys):
+        # every update below 2**d advances, so k = n, and 2**d is never built
+        argv = f"{command} --counter fp --d 1000000000000 --n 5".split()
+        assert main(argv) == 0
+        rows = rows_of(capsys.readouterr().out.encode())
+        assert rows[-1]["n"] == "5"
+        for row in rows:
+            if column:
+                assert float(row[column]) == int(row["n"])
+            else:
+                assert float(row["expected_bits"]) == 0.0
+
 
 class TestFailurePaths:
     @pytest.mark.parametrize(

@@ -11,11 +11,17 @@ from fpcount import (
     CounterParams,
     CounterState,
     decompose,
+    estimate,
+    estimate_float,
     expected_bits,
     increment,
     new_counter,
+    run_ensemble,
+    run_trajectory,
     step_distribution,
     storage_bits,
+    sweep_moments,
+    variance_fn,
 )
 from fpcount.counters import DEFAULT_CEILING
 from fpcount.randbits import ScriptedBitSource
@@ -127,6 +133,27 @@ def test_decompose():
     assert decompose(CounterState(k=3), CounterParams.fp(0)) == (3, 0)
     with pytest.raises(ValueError):
         decompose(CounterState(k=3), CounterParams.morris())
+
+
+def test_a_prefix_state_never_builds_two_to_the_d():
+    # below 2**d every update advances and f(k) = k; building M = 2**d for
+    # d = 10**12 would ask for 125 GB
+    params = CounterParams.fp(10**12)
+    for k in range(6):
+        assert estimate(params, k) == k and type(estimate(params, k)) is int
+        assert estimate_float(params, k) == float(k)
+        assert variance_fn(params, k) == 0 and type(variance_fn(params, k)) is int
+        assert decompose(CounterState(k), params) == (0, k)
+    assert [(p.k, p.estimate) for p in run_trajectory(params, 5, 1, [1, 3, 5])] == [
+        (1, 1.0), (3, 3.0), (5, 5.0)
+    ]
+    report = run_ensemble(params, 5, 3, seed=1)
+    assert report.states.tolist() == [[n] * 3 for n in report.checkpoints]
+    assert not report.bits.any()
+    for mode in ("float", "exact"):
+        records = sweep_moments(params, [0, 2, 5], mode)
+        assert [(r.n, r.mean, r.variance) for r in records] == [(0, 0, 0), (2, 2, 0), (5, 5, 0)]
+        assert expected_bits(params, 5, mode) == (0, 0)
 
 
 def test_storage_bits():

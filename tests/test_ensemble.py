@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpcount import (
+    CheckpointStats,
     CounterParams,
     estimate,
     estimate_float,
@@ -350,18 +351,36 @@ class TestEnsembleReport:
                 assert read(params, k) == read(params, int(k))
                 assert type(read(params, k)) is type(read(params, int(k)))
 
-    def test_stats_against_numpy(self):
-        report = run_ensemble(FP4, 2048, 40, seed=11, checkpoints=[512, 2048])
-        for i, stats in enumerate(report.checkpoint_stats()):
-            e = report.estimates[i]
-            assert stats.replicates == 40
-            assert stats.mean == pytest.approx(e.mean(), rel=1e-15)
-            assert stats.sample_std == pytest.approx(e.std(ddof=1), rel=1e-15)
-            expected_outliers = int(
-                np.count_nonzero(np.abs(e - e.mean()) > 2 * e.std(ddof=1))
-            )
-            assert stats.outliers_2sigma == expected_outliers
-            assert stats.mean_bits == pytest.approx(report.bits[i].mean(), rel=1e-15)
+    @pytest.mark.parametrize(
+        "replicates, cps",
+        [(2, [8, 300, 2048]), (17, [700]), (40, [8, 512, 2048]), (8200, [8, 100, 1000])],
+    )
+    def test_stats_against_numpy(self, replicates, cps):
+        # checkpoint 8 lies in fp(4)'s deterministic prefix, where every
+        # estimate equals the mean and the deviation is 0: none is an outlier
+        report = run_ensemble(FP4, cps[-1], replicates, seed=11, checkpoints=cps)
+        _assert_stats_are_per_row(report)
+        rest = run_ensemble(
+            FP4, cps[-1], 25, seed=11, checkpoints=cps, first_replicate=replicates
+        )
+        _assert_stats_are_per_row(merge_reports(report, rest))
+
+
+def _assert_stats_are_per_row(report):
+    """checkpoint_stats equals numpy on each row alone, values and types."""
+    expected = []
+    for i, n in enumerate(report.checkpoints):
+        e = report.estimates[i]
+        mean, std = float(e.mean()), float(e.std(ddof=1))
+        outliers = int(np.count_nonzero(np.abs(e - mean) > 2.0 * std))
+        expected.append(
+            CheckpointStats(n, e.size, mean, std, outliers, float(report.bits[i].mean()))
+        )
+    got = report.checkpoint_stats()
+    assert got == expected
+    for a, b in zip(got, expected):
+        for name in vars(b):
+            assert type(getattr(a, name)) is type(getattr(b, name)), name
 
 
 class TestMerge:

@@ -90,8 +90,12 @@ class TestBitSource:
         src.take_bits(70)
         assert src.stream_position == 74
 
-    def test_negative_counts_are_refused(self):
-        src = BitSource(11)
+    @pytest.mark.parametrize(
+        "make", [lambda: BitSource(11), lambda: ScriptedBitSource("010101")],
+        ids=["BitSource", "ScriptedBitSource"],
+    )
+    def test_negative_counts_are_refused(self, make):
+        src = make()
         src.take_bits(3)
         with pytest.raises(ValueError, match="^bit count -1 is negative$"):
             src.take_bits(-1)

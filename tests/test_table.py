@@ -17,7 +17,7 @@ from fpcount import (
 )
 from fpcount.chain import CounterRangeError
 from fpcount.randbits import BitSource, ScriptedBitSource
-from fpcount.table import _byte_reads, _slot_estimate
+from fpcount.table import _byte_reads
 
 WIDTHS = [5, 6, 8, 12, 16]
 
@@ -49,7 +49,6 @@ def test_numpy_inputs_do_not_poison_the_shared_reads():
     # the reads of d are cached under a key that a numpy d equals, so a
     # table built from one must read, and leave cached, the int d's values
     _byte_reads.cache_clear()
-    _slot_estimate.cache_clear()
     table = CounterTable(np.int64(4), np.int64(0), np.int64(8))
     assert [type(v) for v in (table.num_slots, table.d, table.width)] == [int] * 3
     assert table.to_bytes() == CounterTable(4, 0, 8).to_bytes()
@@ -104,15 +103,6 @@ def test_slot_index_is_read_by_the_integer_rule(width, entry):
         with pytest.raises(IndexError, match=rf"^slot {index} out of range \(0\.\.3\)$"):
             call(table, index, src)
     assert table.to_bytes() == twin.to_bytes()
-
-
-def test_numpy_index_does_not_poison_the_shared_estimates():
-    # _slot_estimate is cached under (d, width, k), a key a numpy k equals:
-    # a numpy index read first must leave the int reads behind it
-    _slot_estimate.cache_clear()
-    assert CounterTable(8, 0, 12).estimate(np.int64(2)) == SlotEstimate(0.0, False)
-    lower = CounterTable(8, 0, 12).estimate(5).lower_bound
-    assert lower is False
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -246,7 +236,8 @@ def test_wide_slots_read_like_slot_estimate(width, d):
     rng = random.Random(width * 100 + d)
     states = [0, 1, top - 1, top] + [rng.randrange(top + 1) for _ in range(60)]
     table = CounterTable.from_bytes(_snapshot(d, width, states))
-    want = [_read(lambda: _slot_estimate(d, width, k)) for k in states]
+    params = CounterParams.fp(d)
+    want = [_read(lambda: SlotEstimate(estimate_float(params, k), k == top)) for k in states]
     assert [_read(lambda: table.estimate(i)) for i in range(len(states))] == want
     clone = CounterTable.from_bytes(table.to_bytes())
     assert [_read(lambda: clone.estimate(i)) for i in range(len(states))] == want
