@@ -170,13 +170,8 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
         start = 1 << params._shift
     ci = bisect.bisect_right(cps, start)
     states[:ci] = np.array(cps[:ci], dtype=np.uint64)[:, None]
-    if start >= DEFAULT_CEILING:
-        states[ci:] = start
-        return
-    if ci == len(cps):
-        return
-    shift = np.uint64(params._shift)
-    goal_of = np.array(cps, dtype=np.uint64)
+    # checkpoints past the uint64 range, which no run reaches, at its top
+    goal_of = np.array([min(c, 2**64 - 1) for c in cps], dtype=np.uint64)
     # reaching DEFAULT_CEILING takes that many updates
     ceiling = cps[-1] > DEFAULT_CEILING
     # one entry per replicate still running; `col` is its column in the output
@@ -185,8 +180,20 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
     k = np.full(seeds.size, start, dtype=np.uint64)
     m = k.copy()
     pos = np.zeros_like(k)
-    cpi = np.full(seeds.size, ci)
-    while col.size:
+    while True:
+        cpi = np.searchsorted(goal_of, m, "right")
+        live = m < goal_of[-1]
+        if ceiling:
+            # a saturated counter keeps its state and bits to the end
+            for i in np.flatnonzero(live & (k >= _CEILING)):
+                states[cpi[i] :, col[i]] = k[i]
+                bits[cpi[i] :, col[i]] = pos[i]
+                live[i] = False
+        if np.count_nonzero(live) < live.size:
+            col, sd, k, m, pos, cpi = (a[live] for a in (col, sd, k, m, pos, cpi))
+        if not col.size:
+            return
+        shift = np.uint64(params._shift)  # d < 16 once a replicate outlives the prefix
         t = k >> shift
         # a level batch ends with the level, or at the ceiling
         quota = np.minimum((t + _V1) << shift, _CEILING) - k
@@ -205,16 +212,6 @@ def _scan_rounds(params, seeds, cps, states, bits) -> None:
         k += advances[-1]
         m += scans
         pos = ends[-1]
-        cpi = np.searchsorted(goal_of, m, "right")
-        live = m < goal_of[-1]
-        if ceiling:
-            # a saturated counter keeps its state and bits to the end
-            for i in np.flatnonzero(live & (k >= _CEILING)):
-                states[cpi[i] :, col[i]] = k[i]
-                bits[cpi[i] :, col[i]] = pos[i]
-                live[i] = False
-        if np.count_nonzero(live) < live.size:
-            col, sd, k, m, pos, cpi = (a[live] for a in (col, sd, k, m, pos, cpi))
 
 
 def _span_blocks(top: int, level: int, left: int, rows: int) -> int:

@@ -352,6 +352,8 @@ def accuracy_limits(params: CounterParams) -> AccuracyBounds:
     case with window collapsing to sqrt(1/2).
     """
     if params.family is Family.FP:
+        if params.d > 2148:  # both ends are below 2**-1075, so round to 0.0
+            return AccuracyBounds(0.0, 0.0)
         m = params.modulus
         return AccuracyBounds(_sqrt_ratio(1, 3 * m - 1), _sqrt_ratio(3, 8 * m - 3))
     if params.family is Family.QARY:

@@ -314,8 +314,6 @@ def _level_by_ints(bits, t, first_only, cut, quota, goals, origin):
             head = started >> (size - place)
             adv_i.append(head.bit_count())
             end_i.append(place - 1 + (head & 1) * back_i + origin_i)
-        if hit:
-            adv_i[-1] = quota_i
         advances.append(adv_i)
         ends.append(end_i)
         scans.append((marked >> (size - places[-1])).bit_count() - cut_i)

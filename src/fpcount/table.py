@@ -62,15 +62,20 @@ def _byte_reads(d: int) -> tuple[SlotEstimate, ...]:
 
 
 def _saturated(payload: bytes, num_slots: int, width: int) -> int:
-    """The slots of `payload` that hold 2**width - 1, unpacked 2**16 at a time."""
+    """The slots of `payload` that hold 2**width - 1, 2**16 at a time: each
+    chunk as one little-endian int, ANDed with itself shifted in doubling
+    runs until a bit is set where `width` 1s start, counted at slot starts."""
     data, held = np.frombuffer(payload, dtype=np.uint8), 0
     if width == 8:
         return int(np.count_nonzero(data == 255))
     for lo in range(0, num_slots, 1 << 16):
-        slots = min(1 << 16, num_slots - lo)
-        part = data[lo * width >> 3 : (lo * width >> 3) + width * 8192]
-        ones = np.unpackbits(part, count=slots * width, bitorder="little")
-        held += np.count_nonzero(ones.reshape(slots, width).all(axis=1))
+        size = min(1 << 16, num_slots - lo) * width
+        part = payload[lo * width >> 3 : (lo * width + size + 7) >> 3]
+        ones, run = int.from_bytes(part, "little"), 1
+        while run < width:
+            ones &= ones >> min(run, width - run)
+            run <<= 1
+        held += (ones & ((1 << size) - 1) // ((1 << width) - 1)).bit_count()
     return held
 
 

@@ -28,7 +28,7 @@ from fpcount import (
     variance_fn,
     variance_series,
 )
-from fpcount.chain import _transition_probs
+from fpcount.chain import _sqrt_ratio, _transition_probs
 
 MORRIS = CounterParams.morris()
 FP2 = CounterParams.fp(2)
@@ -266,6 +266,17 @@ class TestAccuracyLimits:
         scale = 2.0**-1000
         assert bounds.lower == pytest.approx(math.sqrt(1 / 3) * scale, rel=1e-12, abs=0)
         assert bounds.upper == pytest.approx(math.sqrt(3 / 8) * scale, rel=1e-12, abs=0)
+
+    def test_fp_window_is_the_formula_at_every_d(self):
+        # from d = 2149 on both ends round to 0.0 without 2**d being built;
+        # below that, and a way past it, the bytes are the formula's
+        for d in range(4001):
+            m = 1 << d
+            bounds = accuracy_limits(CounterParams.fp(d))
+            want = (_sqrt_ratio(1, 3 * m - 1), _sqrt_ratio(3, 8 * m - 3))
+            assert (bounds.lower.hex(), bounds.upper.hex()) == tuple(x.hex() for x in want), d
+        assert accuracy_limits(CounterParams.fp(2148)).upper == 5e-324
+        assert accuracy_limits(CounterParams.fp(10**12)) == AccuracyBounds(0.0, 0.0)
 
     def test_morris_collapses(self):
         bounds = accuracy_limits(MORRIS)

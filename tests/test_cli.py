@@ -249,12 +249,18 @@ class TestCommands:
             ("ensemble --replicates 3", "mean"),
             ("oracle", "mean"),
             ("bits", None),
+            ("bounds", None),
         ],
     )
     def test_prefix_runs_at_a_huge_d(self, command, column, capsys):
-        # every update below 2**d advances, so k = n, and 2**d is never built
-        argv = f"{command} --counter fp --d 1000000000000 --n 5".split()
-        assert main(argv) == 0
+        # every update below 2**d advances, so k = n, and 2**d is never
+        # built; the accuracy window's ends round to 0.0
+        argv = f"{command} --counter fp --d 1000000000000".split()
+        if command == "bounds":
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[1:] == ["fp,1000000000000,0.0,0.0"]
+            return
+        assert main(argv + ["--n", "5"]) == 0
         rows = rows_of(capsys.readouterr().out.encode())
         assert rows[-1]["n"] == "5"
         for row in rows:

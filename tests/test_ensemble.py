@@ -36,7 +36,14 @@ from fpcount import (
 from fpcount._engine import _DRAWS, _WALK, _WINDOW, _qary_windows, _thresholds, simulate
 from fpcount.chain import Family
 from fpcount.counters import DEFAULT_CEILING
-from fpcount.randbits import SPAN_WORDS, BitSource, child_seed, stream_skip
+from fpcount.randbits import (
+    SPAN_WORDS,
+    UNIFORM_BITS,
+    BitSource,
+    child_seed,
+    stream_skip,
+    stream_uniforms53,
+)
 
 FP4 = CounterParams.fp(4)
 
@@ -149,12 +156,16 @@ class TestTrajectory:
 class TestEngineEquivalence:
     @staticmethod
     def _scalar_points(params, n_max, cps, seed):
-        # (state, stream position) of the scalar loop at each checkpoint
+        # (state, stream position) of the scalar loop at each checkpoint; a
+        # saturated counter's increments keep it and read no bits
+        # (tests/test_counters.py), so the loop stops there
         src, state, out = BitSource(seed), new_counter(), []
         for m in range(1, n_max + 1):
             state = increment(state, params, src)
-            if m == cps[len(out)]:
+            if m == cps[len(out)] or state.saturated:
                 out.append((state.k, src.stream_position))
+                if state.saturated:
+                    out += out[-1:] * (len(cps) - len(out))
                 if len(out) == len(cps):
                     break
         return out
@@ -185,6 +196,71 @@ class TestEngineEquivalence:
         # both reach DEFAULT_CEILING = 65535 before n = 70000; the scalar
         # counter then stays put and draws no bits, and so must the engine
         self._assert_matches_scalar(params, 70000, [65535, 65536, 70000], seed=5)
+
+    @pytest.mark.parametrize(
+        "params", [CounterParams.qary(2**20), CounterParams.fp(15), CounterParams.fp(16)],
+        ids=str,
+    )
+    def test_a_saturated_run_stops_drawing(self, params):
+        # every replicate saturates long before the last checkpoint, so the
+        # run matches the scalar loop there without reading on to it.  qary
+        # draws chunks of _DRAWS // seeds rows and stops in the chunk where
+        # its last replicate saturates; fp(15)'s one level past the prefix
+        # takes at most two scan rounds, and fp(16)'s prefix reaches the
+        # ceiling with none.  A call past these bounds fails at once, so a
+        # run that kept drawing fails instead of running for 10**12 updates
+        cps = [1000, 10**12]
+        seeds = [child_seed(5, i) for i in range(3)]
+        want = [self._scalar_points(params, cps[-1], cps, s) for s in seeds]
+        qary = params.family is Family.QARY
+        for reps in (1, 3):
+            updates = max(bits for (_, bits) in (w[-1] for w in want[:reps])) // UNIFORM_BITS
+            most_draws = updates // max(1, _DRAWS // reps) + 1 if qary else 0
+            most_scans = 0 if qary else 2 * (DEFAULT_CEILING >> params.d)
+            with (
+                mock.patch("fpcount._engine.stream_uniforms53", wraps=stream_uniforms53) as draws,
+                mock.patch("fpcount._engine.stream_skip", wraps=stream_skip) as scans,
+            ):
+
+                def bound(*args):
+                    assert draws.call_count <= most_draws and scans.call_count <= most_scans
+                    return mock.DEFAULT
+
+                draws.side_effect = scans.side_effect = bound
+                states, bits, _ = simulate(
+                    params, cps[-1], np.array(seeds[:reps], dtype=np.uint64), cps
+                )
+            for i in range(reps):
+                assert list(zip(states[:, i].tolist(), bits[:, i].tolist())) == want[i]
+
+    @pytest.mark.parametrize(
+        "params, cps",
+        [
+            pytest.param(CounterParams.fp(16), [1, 65534, 65535, 65536, 10**12], id="fp16-past"),
+            pytest.param(CounterParams.fp(16), [100, 65535], id="fp16-at"),
+            pytest.param(CounterParams.fp(17), [65535, 2**70], id="fp17-past"),
+            pytest.param(CounterParams.fp(17), [65534, 65535], id="fp17-at"),
+            pytest.param(CounterParams.fp(8), [1, 100, 255, 256], id="fp8-to-256"),
+            pytest.param(CounterParams.fp(8), [256], id="fp8-at-256"),
+            pytest.param(CounterParams.fp(10**12), [1, 2, 3, 4, 5], id="fp10**12-to-5"),
+            pytest.param(CounterParams.fp(2**70), [5], id="fp2**70-at-5"),
+        ],
+    )
+    def test_prefix_runs_leave_through_the_round_loop(self, params, cps):
+        # the t = 0 prefix reaches the ceiling, or passes the last
+        # checkpoint, before any scan: the kernel's first loop head finds
+        # every replicate saturated or done.  The scalar loop reads no bit
+        # here, so its points are every seed's
+        want = self._scalar_points(params, cps[-1], cps, child_seed(6, 0))
+        assert all(pos == 0 for _, pos in want)
+        seeds = np.array([child_seed(6, i) for i in range(40)], dtype=np.uint64)
+        for reps in (1, 3, 40):
+            with mock.patch("fpcount._engine.stream_skip") as scans:
+                states, bits, estimates = simulate(params, cps[-1], seeds[:reps], cps)
+            scans.assert_not_called()
+            for i in range(reps):
+                assert list(zip(states[:, i].tolist(), bits[:, i].tolist())) == want
+                assert estimates[:, i].tolist() == [estimate_float(params, k) for k, _ in want]
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcount import (
     CounterParams,
@@ -17,7 +19,7 @@ from fpcount import (
 )
 from fpcount.chain import CounterRangeError
 from fpcount.randbits import BitSource, ScriptedBitSource
-from fpcount.table import _byte_reads
+from fpcount.table import _byte_reads, _saturated
 
 WIDTHS = [5, 6, 8, 12, 16]
 
@@ -280,6 +282,33 @@ class TestSnapshots:
         blob[16:24] = (1).to_bytes(8, "little")
         with pytest.raises(ValueError, match="does not match the payload's 2 saturated"):
             CounterTable.from_bytes(bytes(blob))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        width=st.integers(1, 32),
+        num_slots=st.one_of(
+            st.integers(1, 200), st.integers(2**16 - 2, 2**16 + 2), st.just(2**17 + 1)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_saturated_counts_as_unpacked_bits(self, width, num_slots, seed, density, data):
+        # the count of all-ones slots, against one uint8 per payload bit:
+        # random bytes ORed `density` times, so 1s are common, some slots
+        # forced to all 1s, and the padding past the last slot random too
+        rng = np.random.default_rng(seed)
+        size = (num_slots * width + 7) >> 3
+        payload = np.zeros(size, dtype=np.uint8)
+        for _ in range(density):
+            payload |= rng.integers(0, 256, size, dtype=np.uint8)
+        bits = np.unpackbits(payload, bitorder="little")
+        for i in data.draw(st.lists(st.integers(0, num_slots - 1), max_size=5)):
+            bits[i * width : (i + 1) * width] = 1
+        payload = np.packbits(bits, bitorder="little").tobytes()
+        ones = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+        want = np.count_nonzero(ones[: num_slots * width].reshape(num_slots, width).all(axis=1))
+        assert _saturated(payload, num_slots, width) == want
 
     def test_save_load(self, tmp_path, with_slot):
         table = with_slot(CounterTable(5, 1, 6), 2, 33)
