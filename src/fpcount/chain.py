@@ -196,12 +196,13 @@ def _transition_probs(params: CounterParams, start: int, stop: int) -> np.ndarra
 
     2**-t is ldexp(1.0, -t), exact down to the subnormals and rounded to 0.0
     from t = 1075 on, as float(Fraction(1, 2**t)) is; qary takes the same
-    per-state 2.0 ** (-(k / r)) as :func:`transition_prob`.
+    per-state 2.0 ** (-(k / r)) as :func:`transition_prob`.  Every state
+    here is below 2**63, so a shift past 63 reads as 63.
     """
     if params._shift is None:
         r = params.r
         return np.array([2.0 ** (-(k / r)) for k in range(start, stop)])
-    return np.ldexp(1.0, -(np.arange(start, stop) >> params._shift))
+    return np.ldexp(1.0, -(np.arange(start, stop) >> min(params._shift, 63)))
 
 
 def _qary_range_error(what: str, params: CounterParams, k: int) -> CounterRangeError:

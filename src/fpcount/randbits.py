@@ -185,11 +185,12 @@ def stream_skip(
 
     A failed scan is a token ``0^j 1`` with j < t and a success is
     ``0^t``, so a run of z zeros and then a 1 is z // t successes and a
-    failure: the failures are the 1s, and the successes start at the
-    first all-zero t-bit window of each zero run and every t bits after
-    it while the run lasts.  The windows come from at most six shift-ANDs
-    of the complement, carried across blocks.  The bits before `pos` read
-    as 1s: failed scans that are taken out again.
+    failure.  Every scan is marked at its last bit: a failure at its 1,
+    and a success at the end of the first all-zero t-bit window of each
+    zero run and every t bits after it while the run lasts.  The windows,
+    each marked at its last bit, come from at most six shift-ANDs of the
+    complement, carried across blocks.  The bits before `pos` read as 1s:
+    failed scans that are taken out again.
     """
     top = int(t.max())
     if top > MAX_SCAN:
@@ -205,18 +206,18 @@ def stream_skip(
     first_only = top == 1 or int(quota.max()) == 1
     if blocks <= _INT_WORDS >> n:
         return _level_by_ints(bits, t, first_only, cut, quota, goals, origin)
-    # bit 63 - b of win[i]: span bits 64 i + b .. 64 i + b + t - 1 are
-    # all 0; zero rows stand before and after the span
-    pad = np.zeros((blocks + 2, n), dtype=np.uint64)
-    win = pad[1:-1]
+    # bit 63 - b of win[i]: span bits 64 i + b - t + 1 .. 64 i + b are
+    # all 0; a zero row stands before the span
+    pad = np.zeros((blocks + 1, n), dtype=np.uint64)
+    win = pad[1:]
     np.invert(bits, out=win)
     tab = _SCAN_TABLE[:, t]
     for i in range((top - 1).bit_length()):
-        carry = pad[2:] >> _V1
-        carry >>= tab[6 + i]
-        carry |= win << tab[i]
+        carry = pad[:-1] << _V1
+        carry <<= tab[6 + i]
+        carry |= win >> tab[i]
         win &= carry
-    # marks[0]: the scans' last bits; marks[1]: the successes' first bits,
+    # marks[0]: the scans' last bits; marks[1]: the successes' last bits,
     # the first window of each run of windows and every t-th one on
     marks = np.empty((2, blocks, n), dtype=np.uint64)
     starts = marks[1]
@@ -224,7 +225,7 @@ def stream_skip(
         starts[:] = win
     else:
         np.right_shift(win, _V1, out=starts)
-        starts |= pad[:-2] << _V63
+        starts |= pad[:-1] << _V63
         np.bitwise_and(win, ~starts, out=starts)
         # each pass moves the newest successes t bits on, carried across
         # blocks, between two buffers with a zero row before the span
@@ -258,16 +259,12 @@ def stream_skip(
     np.add(mid, quota * hit, out=sought[-1])
     at = np.searchsorted(counts[1:], sought)
     # the other marks up to each mark found, from the word at the same
-    # place: a scan's are the successes', and a success's the scans'; where
-    # the other word has the bit too, it is a success's first, and its scan
-    # runs t bits
+    # place: a scan's are the successes', and a success's the scans'
     other = at + blocks
     other[-1] -= hit * (2 * blocks)
     b = _nth_one(flat[at], sought - counts[at])
-    head = flat[other] >> (_V63 - b)
-    upto = counts[other] + _popcount64(head)
-    place = ((at % blocks).astype(np.uint64) << _V6) + b
-    ends = place + (head & _V1) * tab[12] + origin
+    upto = counts[other] + _popcount64(flat[other] >> (_V63 - b))
+    ends = ((at % blocks).astype(np.uint64) << _V6) + b + origin
     advances = upto - mid
     advances[-1] += hit * (quota - advances[-1])
     scans = mid + hit * (upto[-1] - mid) - first - cut
@@ -280,9 +277,10 @@ def _level_by_ints(bits, t, first_only, cut, quota, goals, origin):
     bit highest.
 
     The windows, the complement shift-ANDed in the word form's doubling
-    steps, end within the span; the successes' marks and the search follow
-    the word form: the first window of each run of windows and every t-th
-    one on, and the r-th mark found by halving on prefix counts.
+    steps, start within the span and are marked at their last bits; the
+    successes' marks and the search follow the word form: the first window
+    of each run of windows and every t-th one on, and the r-th mark found
+    by halving on prefix counts.
     """
     size = 64 * len(bits)
     full = (1 << size) - 1
@@ -291,16 +289,13 @@ def _level_by_ints(bits, t, first_only, cut, quota, goals, origin):
         _ints(bits), t.tolist(), cut.tolist(), quota.tolist(), goals.T.tolist(),
         origin.tolist(),
     ):
-        zeros, run, back_i = full ^ ones, 1, t_i - 1
-        while run < t_i:
-            zeros &= zeros << min(run, t_i - run)
-            run <<= 1
+        zeros = _runs(full ^ ones, t_i)
         if first_only:
             started = zeros
         else:
             started = more = zeros & ~(zeros >> 1)
             while more:
-                more = (more >> (back_i + 1)) & zeros
+                more = (more >> t_i) & zeros
                 started |= more
         marked = ones | started
         total = marked.bit_count()
@@ -309,15 +304,21 @@ def _level_by_ints(bits, t, first_only, cut, quota, goals, origin):
         places = [_after_ones(marked, size, min(g + cut_i, total)) for g in goals_i]
         stop = _after_ones(started, size, quota_i) if hit else _after_ones(marked, size, total)
         places.append(stop)
-        adv_i, end_i = [], []
-        for place in places:
-            head = started >> (size - place)
-            adv_i.append(head.bit_count())
-            end_i.append(place - 1 + (head & 1) * back_i + origin_i)
-        advances.append(adv_i)
-        ends.append(end_i)
+        advances.append([(started >> (size - place)).bit_count() for place in places])
+        ends.append([place - 1 + origin_i for place in places])
         scans.append((marked >> (size - places[-1])).bit_count() - cut_i)
     return tuple(np.array(a, dtype=np.uint64).T.copy() for a in (advances, ends, scans))
+
+
+def _runs(x: int, width: int) -> int:
+    """The bits of x that start `width` 1s reading up: bit j stays where
+    bits j .. j + width - 1 are all set, x ANDed with itself shifted down
+    by doubling runs."""
+    run = 1
+    while run < width:
+        x &= x >> min(run, width - run)
+        run <<= 1
+    return x
 
 
 def _ints(words: np.ndarray) -> list[int]:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import CounterParams, _integer, estimate_float
-from .randbits import BitStream
+from .randbits import BitStream, _runs
 
 _HEADER = struct.Struct("<4sHBBQQ")
 _MAGIC = b"FPCT"
@@ -63,18 +63,15 @@ def _byte_reads(d: int) -> tuple[SlotEstimate, ...]:
 
 def _saturated(payload: bytes, num_slots: int, width: int) -> int:
     """The slots of `payload` that hold 2**width - 1, 2**16 at a time: each
-    chunk as one little-endian int, ANDed with itself shifted in doubling
-    runs until a bit is set where `width` 1s start, counted at slot starts."""
-    data, held = np.frombuffer(payload, dtype=np.uint8), 0
+    chunk as one little-endian int, its bits where `width` 1s start counted
+    at slot starts."""
     if width == 8:
-        return int(np.count_nonzero(data == 255))
+        return int(np.count_nonzero(np.frombuffer(payload, dtype=np.uint8) == 255))
+    held = 0
     for lo in range(0, num_slots, 1 << 16):
         size = min(1 << 16, num_slots - lo) * width
         part = payload[lo * width >> 3 : (lo * width + size + 7) >> 3]
-        ones, run = int.from_bytes(part, "little"), 1
-        while run < width:
-            ones &= ones >> min(run, width - run)
-            run <<= 1
+        ones = _runs(int.from_bytes(part, "little"), width)
         held += (ones & ((1 << size) - 1) // ((1 << width) - 1)).bit_count()
     return held
 
@@ -126,32 +123,28 @@ class CounterTable:
             index = _integer(index, "slot index", -math.inf)
         if not 0 <= index < self.num_slots:
             raise self._out_of_range(index)
-        data = self._data
+        # one pass over the slot: a byte slot is its byte, and any other is
+        # read once from its bytes and, on an advance, written back once with
+        # 1 added at the slot's offset (no carry leaves the slot, since
+        # k < 2**width - 1)
+        data, top = self._data, self._max_value
         if self._byte_slots:
             k = data[index]
-            if k == 255:
-                return k
-            t = k >> self.d
-            if t and not src.bernoulli_pow2(t):
-                return k
-            data[index] = k = k + 1
-            if k == 255:
-                self.saturation_count += 1
-            return k
-        # one pass over the slot: the bytes are read once and, on an
-        # advance, written back once with 1 added at the slot's offset
-        # (no carry leaves the slot, since k < 2**width - 1)
-        top, bitpos = self._max_value, index * self.width
-        start, end, shift = bitpos >> 3, (bitpos + self.width + 7) >> 3, bitpos & 7
-        word = int.from_bytes(data[start:end], "little")
-        k = (word >> shift) & top
+        else:
+            bitpos = index * self.width
+            start, end, shift = bitpos >> 3, (bitpos + self.width + 7) >> 3, bitpos & 7
+            word = int.from_bytes(data[start:end], "little")
+            k = (word >> shift) & top
         if k == top:
             return k
         t = k >> self.d
         if t and not src.bernoulli_pow2(t):
             return k
-        data[start:end] = (word + (1 << shift)).to_bytes(end - start, "little")
         k += 1
+        if self._byte_slots:
+            data[index] = k
+        else:
+            data[start:end] = (word + (1 << shift)).to_bytes(end - start, "little")
         if k == top:
             self.saturation_count += 1
         return k
@@ -176,7 +169,7 @@ class CounterTable:
         header = _HEADER.pack(
             _MAGIC, _VERSION, self.d, self.width, self.num_slots, self.saturation_count
         )
-        return header + bytes(self._data)
+        return header + self._data
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CounterTable":
@@ -191,7 +184,7 @@ class CounterTable:
             raise ValueError(f"unsupported snapshot version {version}")
         # the length check precedes construction, so a crafted header
         # cannot request an allocation its payload does not back
-        payload = blob[_HEADER.size :]
+        payload = memoryview(blob)[_HEADER.size :]
         if len(payload) != (num_slots * width + 7) >> 3:
             raise ValueError(
                 f"payload length {len(payload)} does not match "
@@ -204,7 +197,7 @@ class CounterTable:
                 f"saturation count {saturation_count} does not match "
                 f"the payload's {held} saturated slots"
             )
-        table._data[:] = payload
+        memoryview(table._data)[:] = payload
         table.saturation_count = saturation_count
         return table
 

@@ -243,19 +243,26 @@ class TestCommands:
             assert (rows[0]["mean"], rows[0]["variance"]) == ("3.0", "0.0")
 
     @pytest.mark.parametrize(
-        "command, column",
+        "command, column, d",
         [
-            ("trajectory", "k"),
-            ("ensemble --replicates 3", "mean"),
-            ("oracle", "mean"),
-            ("bits", None),
-            ("bounds", None),
+            pytest.param("trajectory", "k", 10**12, id="trajectory-k"),
+            pytest.param(
+                "ensemble --replicates 3", "mean", 10**12, id="ensemble --replicates 3-mean"
+            ),
+            pytest.param("oracle", "mean", 10**12, id="oracle-mean"),
+            pytest.param("bits", None, 10**12, id="bits-None"),
+            pytest.param("bounds", None, 10**12, id="bounds-None"),
+            # a shift past the int64 range
+            pytest.param("ensemble --replicates 3", "mean", 2**70, id="ensemble-mean-2**70"),
+            pytest.param("oracle", "mean", 2**70, id="oracle-mean-2**70"),
+            pytest.param("oracle --mode exact", "mean", 2**70, id="oracle-exact-mean-2**70"),
+            pytest.param("bits", None, 2**70, id="bits-None-2**70"),
         ],
     )
-    def test_prefix_runs_at_a_huge_d(self, command, column, capsys):
+    def test_prefix_runs_at_a_huge_d(self, command, column, d, capsys):
         # every update below 2**d advances, so k = n, and 2**d is never
         # built; the accuracy window's ends round to 0.0
-        argv = f"{command} --counter fp --d 1000000000000".split()
+        argv = f"{command} --counter fp --d {d}".split()
         if command == "bounds":
             assert main(argv) == 0
             assert capsys.readouterr().out.splitlines()[1:] == ["fp,1000000000000,0.0,0.0"]

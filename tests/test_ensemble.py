@@ -11,6 +11,7 @@ numpy.
 """
 
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from fpcount import (
     new_counter,
     run_ensemble,
     run_trajectory,
+    step_distribution,
     transition_prob,
     variance_fn,
 )
@@ -381,6 +383,62 @@ class TestEngineEquivalence:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.estimates, b.estimates)
+
+
+def _chi2_tail(stat: float, dof: int) -> float:
+    """P(X >= stat) for X chi-square on dof degrees of freedom and stat > 0:
+    the regularized upper gamma Q(dof / 2, stat / 2), from Q(1/2, h) =
+    erfc(sqrt(h)) or Q(0, h) = 0 by Q(s + 1, h) = Q(s, h) + h**s e**-h / s!."""
+    h = stat / 2
+    s, q = (0.5, math.erfc(math.sqrt(h))) if dof % 2 else (0.0, 0.0)
+    while s < dof / 2:
+        q += math.exp(s * math.log(h) - h - math.lgamma(s + 1))
+        s += 1
+    return q
+
+
+class TestEngineLaw:
+    """The engine's states at n follow the chain's law, the float oracle's
+    distribution: a chi-square test over states pooled in order until each
+    bin expects at least 5 replicates, rejected at p < 1e-6."""
+
+    def test_chi2_tail_is_the_gamma_tail(self):
+        # dof 1 to 4 by their closed forms; then, as scipy's chi2.isf and
+        # chi2.sf give them, the 1e-6 points of 24 and 75 dof and the tail
+        # past 24 on 24 dof
+        for x in (0.1, 1.0, 7.5, 60.0):
+            assert _chi2_tail(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-12)
+            assert _chi2_tail(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-12)
+            three = math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+            assert _chi2_tail(x, 3) == pytest.approx(three, rel=1e-12)
+            assert _chi2_tail(x, 4) == pytest.approx((1 + x / 2) * math.exp(-x / 2), rel=1e-12)
+        assert _chi2_tail(72.22885382014432, 24) == pytest.approx(1e-6, rel=1e-9)
+        assert _chi2_tail(24.0, 24) == pytest.approx(0.46159733306361805, rel=1e-9)
+        assert _chi2_tail(148.18666153042912, 75) == pytest.approx(1e-6, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "params, n",
+        [(FP4, 4096), (CounterParams.morris(), 4096), (CounterParams.qary(16), 4096),
+         (CounterParams.fp(8), 20000)],
+        ids=["fp4", "morris", "qary16", "fp8"],
+    )
+    def test_states_follow_the_chain(self, params, n):
+        reps = 20000
+        seeds = np.array([child_seed(5, i) for i in range(reps)], dtype=np.uint64)
+        states, _, _ = simulate(params, n, seeds, [n])
+        observed = np.bincount(states[0].astype(np.int64), minlength=n + 1)
+        expected = reps * np.asarray(step_distribution(params, n, "float").probs)
+        assert observed.size == expected.size and observed[expected == 0].sum() == 0
+        bins, seen, want = [], 0, 0.0
+        for o, e in zip(observed.tolist(), expected.tolist()):
+            seen, want = seen + o, want + e
+            if want >= 5:
+                bins.append((seen, want))
+                seen, want = 0, 0.0
+        last_seen, last_want = bins.pop()
+        bins.append((last_seen + seen, last_want + want))
+        stat = sum((o - e) ** 2 / e for o, e in bins)
+        assert _chi2_tail(stat, len(bins) - 1) > 1e-6, (stat, len(bins) - 1)
 
 
 class TestEnsembleReport:

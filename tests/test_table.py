@@ -3,6 +3,7 @@ saturation accounting, and the versioned snapshot format."""
 
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,28 @@ class TestSnapshots:
         ones = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
         want = np.count_nonzero(ones[: num_slots * width].reshape(num_slots, width).all(axis=1))
         assert _saturated(payload, num_slots, width) == want
+
+    @pytest.mark.parametrize("width, copies", [(8, 2), (12, 1)])
+    def test_snapshots_copy_the_payload_once(self, width, copies):
+        # to_bytes allocates its snapshot alone; from_bytes the table, plus
+        # the width-8 saturation mask or else one chunk's ints at a time
+        table = CounterTable(1 << 22, 4, width)
+        size = table.payload_bytes
+        table._data[:] = np.random.default_rng(1).integers(0, 255, size, dtype=np.uint8).data
+        table.saturation_count = _saturated(bytes(table._data), table.num_slots, width)
+        tracemalloc.start()
+        try:
+            blob = table.to_bytes()
+            _, to_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            clone = CounterTable.from_bytes(blob)
+            _, from_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(blob) is bytes and clone.to_bytes() == blob
+        assert to_peak < size + 2**10
+        assert from_peak - held < copies * size + 2**20
 
     def test_save_load(self, tmp_path, with_slot):
         table = with_slot(CounterTable(5, 1, 6), 2, 33)
